@@ -18,12 +18,10 @@ from .errors import (
 from .limits import (
     ConvergenceReport,
     NonRelParams,
-    bound_branch_residual,
     coulomb_energy,
     effective_level,
     nonrel_energy,
     nonrel_limit_of_relativistic,
-    solve_bound_branch,
 )
 from .nu import (
     NuCoefficients,
@@ -50,7 +48,6 @@ from .solver import (
     EnergySolution,
     EnergyTable,
     RadialWavefunction,
-    SolverOptions,
     TableCell,
     channel_constant,
     count_nodes,

@@ -34,7 +34,6 @@ from .oracle import cross_validate
 from .params import ParticleParams, PotentialParams, QuantumNumbers, degeneracy_partner
 from .potentials import profile
 from .solver import (
-    SolverOptions,
     count_nodes,
     default_radial_grid,
     radial_wavefunction,
@@ -108,13 +107,6 @@ def _qn_from(ctx, cfg) -> QuantumNumbers:
     )
 
 
-def _opts_from(ctx, cfg) -> SolverOptions:
-    return SolverOptions(
-        tolerance=_merged(ctx, cfg, "tolerance"),
-        scan_points=_merged(ctx, cfg, "scan_points"),
-    )
-
-
 def parse_range(spec: str) -> list[int]:
     """'3:10' (inclusive) or '1,2,3' or a single integer."""
     spec = spec.strip()
@@ -136,7 +128,8 @@ def _emit(text: str, out: Optional[str]):
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        # an explicit file keeps click from caching, and never freeing, the stream
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _csv_text(header, rows) -> str:
@@ -153,8 +146,6 @@ def common_options(f):
     f = click.option("--out", "out", type=str, default=None, help="Output file (default stdout).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                      help="Structured output format.")(f)
-    f = click.option("--scan-points", type=int, default=20000, show_default=True)(f)
-    f = click.option("--tolerance", type=float, default=5e-14, show_default=True)(f)
     f = click.option("--mass", type=float, default=1.0, show_default=True, help="Rest mass M (fm^-1).")(f)
     f = click.option("--a", "a", type=float, default=None, help="Screening parameter (fm^-1).")(f)
     f = click.option("--beta", type=float, default=None, help="Mixing ratio s0/v0 (alternative to --s0).")(f)
@@ -187,8 +178,7 @@ def solve(ctx, **_kw):
     pp = _potential_from(ctx, cfg)
     mp = _mass_from(ctx, cfg)
     qn = _qn_from(ctx, cfg)
-    opts = _opts_from(ctx, cfg)
-    sol = solve_energy(pp, mp, qn, opts)
+    sol = solve_energy(pp, mp, qn)
     if ctx.params["fmt"] == "json":
         payload = {
             "energy": sol.energy,
@@ -212,19 +202,16 @@ def solve(ctx, **_kw):
 @click.option("--n-range", type=str, default="1:3", show_default=True)
 @click.option("--l-range", type=str, default="0:2", show_default=True)
 @click.option("--dim-range", type=str, default="3:10", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.pass_context
 def table(ctx, **_kw):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
     cfg = _load_config(ctx.params["config_path"])
     pp = _potential_from(ctx, cfg)
     mp = _mass_from(ctx, cfg)
-    opts = _opts_from(ctx, cfg)
     n_range = parse_range(_merged(ctx, cfg, "n_range"))
     l_range = parse_range(_merged(ctx, cfg, "l_range"))
     d_range = parse_range(_merged(ctx, cfg, "dim_range"))
-    threads = _merged(ctx, cfg, "threads")
-    tab = solve_table(pp, mp, n_range, l_range, d_range, opts, threads=threads)
+    tab = solve_table(pp, mp, n_range, l_range, d_range)
     if ctx.params["fmt"] == "json":
         payload = [
             {
@@ -260,7 +247,6 @@ def degeneracy(ctx, **_kw):
     cfg = _load_config(ctx.params["config_path"])
     pp = _potential_from(ctx, cfg)
     mp = _mass_from(ctx, cfg)
-    opts = _opts_from(ctx, cfg)
     n_range = parse_range(_merged(ctx, cfg, "n_range"))
     l_range = parse_range(_merged(ctx, cfg, "l_range"))
     d_range = parse_range(_merged(ctx, cfg, "dim_range"))
@@ -271,7 +257,7 @@ def degeneracy(ctx, **_kw):
             for l in l_range:
                 qn = QuantumNumbers(n=n, l=l, d=d)
                 try:
-                    e = solve_energy(pp, mp, qn, opts).energy
+                    e = solve_energy(pp, mp, qn).energy
                 except (NoRootInBracket, ComplexChannel):
                     continue
                 for direction in ("up", "down"):
@@ -280,7 +266,7 @@ def degeneracy(ctx, **_kw):
                     except OutOfDomain:
                         continue
                     try:
-                        e_p = solve_energy(pp, mp, partner, opts).energy
+                        e_p = solve_energy(pp, mp, partner).energy
                     except (NoRootInBracket, ComplexChannel):
                         continue
                     delta = abs(e - e_p)
@@ -297,7 +283,7 @@ def degeneracy(ctx, **_kw):
               ctx.params["out"])
     else:
         _emit(_csv_text(header, rows), ctx.params["out"])
-    click.echo(f"max |delta| = {fmt_num(worst)}", err=True)
+    click.echo(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)
     if worst > ctx.params["max_delta"]:
         raise NoRootInBracket(f"degeneracy violated: max |delta| = {worst}")
 
@@ -313,8 +299,7 @@ def wavefunction(ctx, **_kw):
     pp = _potential_from(ctx, cfg)
     mp = _mass_from(ctx, cfg)
     qn = _qn_from(ctx, cfg)
-    opts = _opts_from(ctx, cfg)
-    sol = solve_energy(pp, mp, qn, opts)
+    sol = solve_energy(pp, mp, qn)
     wf = radial_wavefunction(sol, pp, mp, qn, default_radial_grid(sol.epsilon, ctx.params["points"]))
     if ctx.params["fmt"] == "json":
         payload = {
@@ -329,7 +314,7 @@ def wavefunction(ctx, **_kw):
     else:
         rows = [(fmt_num(r), fmt_num(v)) for r, v in wf.samples]
         _emit(_csv_text(("r", "R"), rows), ctx.params["out"])
-    click.echo(f"nodes = {count_nodes(wf)}", err=True)
+    click.echo(f"nodes = {count_nodes(wf)}", file=sys.stderr)
 
 
 @cli.command()
@@ -445,19 +430,19 @@ def main(argv=None) -> int:
     except click.Abort:
         return EXIT_INVALID_INPUT
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except DomainError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
+        click.echo(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (NoRootInBracket, ComplexChannel, OutOfDomain, NegativeDiscriminant) as exc:
-        click.echo(f"no solution: {type(exc).__name__}: {exc}", err=True)
+        click.echo(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (NonFinite, ConvergenceFailure, NormalizationFailure, ConstraintViolation) as exc:
-        click.echo(f"numeric failure: {type(exc).__name__}: {exc}", err=True)
+        click.echo(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except KgYukawaError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        click.echo(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
 
 

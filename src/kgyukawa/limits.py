@@ -3,14 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .errors import DomainError, NoRootInBracket
+from .errors import DomainError
 from .params import ParticleParams, PotentialParams, QuantumNumbers
-from .rootfind import bisect, sign_change_brackets
-from .solver import SCAN_EDGE, EnergySolution, SolverOptions, channel_constant
+from .solver import solve_energy
 
 
 @dataclass(frozen=True)
@@ -50,67 +47,6 @@ def coulomb_energy(p: NonRelParams, qn: QuantumNumbers) -> float:
     return -p.mu * p.v0 * p.v0 / (2.0 * nu * nu)
 
 
-def bound_branch_residual(
-    E, pp: PotentialParams, mp: ParticleParams, qn: QuantumNumbers
-):
-    """Quantization residual of the branch whose wavefunction decays at
-    infinity,
-
-        (2n+1 + sqrt((d+2l-2)^2 + 4(s0^2-v0^2)) + eps/a)^2
-            - [-(E/a - 2 v0)^2 + (M/a + 2 s0)^2].
-
-    Its roots near E = +M are the states with a nonrelativistic
-    counterpart; accepts scalar or ndarray E.
-    """
-    lam = math.sqrt(channel_constant(pp, qn))
-    m, a = mp.mass, pp.a
-    E = np.asarray(E, dtype=float)
-    if np.any(np.abs(E) >= m):
-        raise DomainError("E must lie strictly inside (-M, M)")
-    eps = np.sqrt(m * m - E * E)
-    lhs = (2 * qn.n + 1 + lam + eps / a) ** 2
-    rhs = -((E / a - 2 * pp.v0) ** 2) + (m / a + 2 * pp.s0) ** 2
-    out = lhs - rhs
-    return float(out) if out.ndim == 0 else out
-
-
-def solve_bound_branch(
-    pp: PotentialParams,
-    mp: ParticleParams,
-    qn: QuantumNumbers,
-    opts: Optional[SolverOptions] = None,
-) -> EnergySolution:
-    """Highest-energy root of :func:`bound_branch_residual` on (-M, M).
-
-    Used by the nonrelativistic-limit check; raises
-    :class:`NoRootInBracket` when the coupling binds nothing (e.g. zero
-    potential, or screening beyond the critical value).
-    """
-    opts = opts or SolverOptions()
-    m = mp.mass
-    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), opts.scan_points)
-    values = bound_branch_residual(grid, pp, mp, qn)
-    brackets = sign_change_brackets(grid, values)
-    if not brackets:
-        raise NoRootInBracket(f"no decaying-branch bound state for {qn}")
-
-    def f(E: float) -> float:
-        return bound_branch_residual(E, pp, mp, qn)
-
-    roots = []
-    for lo, hi in brackets:
-        root, iters = bisect(f, lo, hi, opts.tolerance)
-        roots.append((root, iters, (lo, hi)))
-    root, iters, bracket = max(roots, key=lambda t: t[0])
-    return EnergySolution(
-        energy=root,
-        epsilon=math.sqrt(m * m - root * root),
-        residual=f(root),
-        bracket=bracket,
-        iterations=iters,
-    )
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     a: float
@@ -136,20 +72,20 @@ def nonrel_limit_of_relativistic(
     mp: ParticleParams,
     qn: QuantumNumbers,
     a_sequence: Sequence[float],
-    opts: Optional[SolverOptions] = None,
 ) -> ConvergenceReport:
     """Check that the relativistic solution reduces to the Schrodinger one.
 
     The correspondence halves both couplings on the relativistic side
     (V -> V/2, S -> S/2), identifies mu = M, and compares E_rel - M with
     the Schrodinger energy at the full coupling.  The relativistic root
-    is taken from the decaying-wavefunction branch, where states near
-    E = +M live.  Solver errors (e.g. no bound state) propagate.
+    is the highest root of the decaying-wavefunction branch
+    (``solve_energy(..., branch="decaying")``), where states near E = +M
+    live.  Solver errors (e.g. no bound state) propagate.
     """
     rows = []
     for a in a_sequence:
         halved = PotentialParams(v0=pp.v0 / 2.0, s0=pp.s0 / 2.0, a=a)
-        rel = solve_bound_branch(halved, mp, qn, opts)
+        rel = solve_energy(halved, mp, qn, branch="decaying")
         e_nr = nonrel_energy(NonRelParams(mu=mp.mass, v0=pp.v0, a=a), qn)
         rows.append(
             ConvergenceRow(

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ComplexChannel, ConvergenceFailure, DomainError, NoRootInBracket
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
-from .solver import solve_energy, SolverOptions
+from .solver import solve_energy
 
 try:
     from numba import njit
@@ -289,7 +289,6 @@ def cross_validate(
     points: int = 16000,
     half_width: float = 5e-3,
     eigen_index: Optional[int] = None,
-    opts: Optional[SolverOptions] = None,
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
@@ -298,7 +297,7 @@ def cross_validate(
     root at the same eigen_index and reports the mismatch explicitly.
     """
     k = qn.n - 1 if eigen_index is None else eigen_index
-    e_solver = solve_energy(pp, mp, qn, opts).energy
+    e_solver = solve_energy(pp, mp, qn).energy
     eps_est = math.sqrt(mp.mass**2 - e_solver**2)
     grid = default_oracle_grid(eps_est, points=points)
     try:

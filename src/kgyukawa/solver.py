@@ -4,13 +4,13 @@ Klein-Gordon equation with unequal scalar/vector Yukawa couplings.
 The radial equation, with 1/r and 1/r^2 replaced by their exponential
 approximants (valid for a*r << 1), maps under s = exp(-2ar) onto the
 canonical hypergeometric-type form handled by :mod:`kgyukawa.nu`.  The
-resulting quantization condition is transcendental in E; it is solved
-by dense scanning plus bisection.
+resulting quantization condition is transcendental in E and has two
+branches (see :func:`energy_equation_residual`); either is solved by
+dense scanning plus bisection.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,25 +28,22 @@ from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
 from .special import jacobi_eval
 
+# Uniform scan of (-M, M) for sign changes, and the bisection width.
+SCAN_POINTS = 20000
+TOLERANCE = 5e-14
 # Margin keeping the scan strictly inside (-M, M).
 SCAN_EDGE = 1e-9
-# A root is accepted only if the mapped canonical-form quantization
-# residual also vanishes there.
+# A published-branch root is accepted only if the mapped canonical-form
+# quantization residual also vanishes there.
 _NU_CONSISTENCY_TOL = 1e-8
+# Sign of the eps/a term in the quantization condition, per branch.
+_EPS_SIGN = {"published": -1.0, "decaying": 1.0}
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Root-search controls for :func:`solve_energy`."""
-
-    tolerance: float = 5e-14
-    scan_points: int = 20000
-
-    def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.scan_points < 2:
-            raise DomainError(f"scan_points must be >= 2, got {self.scan_points}")
+def _eps_sign(branch: str) -> float:
+    if branch not in _EPS_SIGN:
+        raise DomainError(f"branch must be 'published' or 'decaying', got {branch!r}")
+    return _EPS_SIGN[branch]
 
 
 @dataclass(frozen=True)
@@ -104,23 +101,26 @@ def map_to_nu(
 
 
 def energy_equation_residual(
-    E, pp: PotentialParams, mp: ParticleParams, qn: QuantumNumbers
+    E, pp: PotentialParams, mp: ParticleParams, qn: QuantumNumbers, branch: str = "published"
 ):
     """Quantization residual in closed form,
 
-        (2n+1 + sqrt((d+2l-2)^2 + 4(s0^2-v0^2)) - eps/a)^2
+        (2n+1 + sqrt((d+2l-2)^2 + 4(s0^2-v0^2)) -+ eps/a)^2
             - [-(E/a - 2 v0)^2 + (M/a + 2 s0)^2],
 
-    continuous in E on (-M, M); a bound state makes it zero.  Accepts a
-    scalar or ndarray E.
+    with -eps/a on the "published" branch (the paper's tables; its
+    solutions grow like exp(+eps*r) at infinity) and +eps/a on the
+    "decaying" one.  Continuous in E on (-M, M); a bound state of the
+    branch makes it zero.  Accepts a scalar or ndarray E.
     """
+    sign = _eps_sign(branch)
     lam = math.sqrt(channel_constant(pp, qn))
     m, a = mp.mass, pp.a
     E = np.asarray(E, dtype=float)
     if np.any(np.abs(E) >= m):
         raise DomainError("E must lie strictly inside (-M, M)")
     eps = np.sqrt(m * m - E * E)
-    lhs = (2 * qn.n + 1 + lam - eps / a) ** 2
+    lhs = (2 * qn.n + 1 + lam + sign * eps / a) ** 2
     rhs = -((E / a - 2 * pp.v0) ** 2) + (m / a + 2 * pp.s0) ** 2
     out = lhs - rhs
     return float(out) if out.ndim == 0 else out
@@ -136,43 +136,42 @@ def solve_energy(
     pp: PotentialParams,
     mp: ParticleParams,
     qn: QuantumNumbers,
-    opts: Optional[SolverOptions] = None,
+    branch: str = "published",
 ) -> EnergySolution:
-    """Lowest bound-state energy for the given couplings and (n, l, d).
+    """Bound-state energy of one quantization branch for the given
+    couplings and (n, l, d).
 
-    Scans the residual on a uniform grid over (-M, M), brackets every
-    sign change, refines each by bisection to |dE| < opts.tolerance, and
-    keeps roots at which the mapped canonical-form quantization residual
-    also vanishes (guards against refinement landing on a kink).  The
-    lowest-energy accepted root is returned.
+    Scans the branch's residual on SCAN_POINTS uniform points over
+    (-M, M), brackets every sign change and refines each by bisection to
+    |dE| < TOLERANCE.  On the "published" branch a root is kept only if
+    the mapped canonical-form quantization residual also vanishes there
+    (guards against refinement landing on a kink), and the lowest kept
+    root is returned.  On the "decaying" branch the highest root is
+    returned: the state with a nonrelativistic counterpart near E = +M.
 
-    Raises :class:`NoRootInBracket` when no sign change exists: no bound
+    Raises :class:`NoRootInBracket` when no root is found: no bound
     state for these quantum numbers at these couplings.
     """
-    opts = opts or SolverOptions()
+    published = branch == "published"
     m = mp.mass
-    channel_constant(pp, qn)
-    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), opts.scan_points)
-    values = energy_equation_residual(grid, pp, mp, qn)
+    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
+    values = energy_equation_residual(grid, pp, mp, qn, branch)
     brackets = sign_change_brackets(grid, values)
     if not brackets:
-        raise NoRootInBracket(
-            f"no sign change over ({grid[0]}, {grid[-1]}) for {qn}: no bound state"
-        )
+        raise NoRootInBracket(f"no sign change on the {branch} branch for {qn}: no bound state")
 
     def f(E: float) -> float:
-        return energy_equation_residual(E, pp, mp, qn)
+        return energy_equation_residual(E, pp, mp, qn, branch)
 
     best: Optional[EnergySolution] = None
     for lo, hi in brackets:
-        root, iters = bisect(f, lo, hi, opts.tolerance)
-        if abs(_nu_residual_at(pp, mp, qn, root)) > _NU_CONSISTENCY_TOL:
+        root, iters = bisect(f, lo, hi, TOLERANCE)
+        if published and abs(_nu_residual_at(pp, mp, qn, root)) > _NU_CONSISTENCY_TOL:
             continue
-        if best is None or root < best.energy:
-            eps = math.sqrt(m * m - root * root)
+        if best is None or (root < best.energy if published else root > best.energy):
             best = EnergySolution(
                 energy=root,
-                epsilon=eps,
+                epsilon=math.sqrt(m * m - root * root),
                 residual=f(root),
                 bracket=(lo, hi),
                 iterations=iters,
@@ -206,10 +205,10 @@ class EnergyTable:
     CSV_HEADER = ("dim", "n", "l", "energy", "residual", "status")
 
 
-def _solve_cell(pp, mp, d, n, l, opts) -> TableCell:
+def _solve_cell(pp, mp, d, n, l) -> TableCell:
     try:
         qn = QuantumNumbers(n=n, l=l, d=d)
-        sol = solve_energy(pp, mp, qn, opts)
+        sol = solve_energy(pp, mp, qn)
         return TableCell(dim=d, n=n, l=l, status="ok", energy=sol.energy, residual=sol.residual)
     except NoRootInBracket as exc:
         return TableCell(dim=d, n=n, l=l, status="no_bound_state", message=str(exc))
@@ -225,23 +224,17 @@ def solve_table(
     n_range: Sequence[int],
     l_range: Sequence[int],
     d_range: Sequence[int],
-    opts: Optional[SolverOptions] = None,
-    threads: int = 1,
 ) -> EnergyTable:
-    """Solve every cell of the Cartesian product d_range x n_range x l_range.
+    """Solve every published-branch cell of the Cartesian product
+    d_range x n_range x l_range, in that order.
 
     Cells are independent; per-cell failures are recorded in the cell
-    status and never abort the grid.  With threads > 1 the cells are
-    evaluated concurrently; output order is deterministic either way.
+    status and never abort the grid.
     """
-    opts = opts or SolverOptions()
-    tasks = [(d, n, l) for d in d_range for n in n_range for l in l_range]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda t: _solve_cell(pp, mp, *t, opts), tasks))
-    else:
-        cells = [_solve_cell(pp, mp, *t, opts) for t in tasks]
-    return EnergyTable(pp=pp, mp=mp, cells=tuple(cells))
+    cells = tuple(
+        _solve_cell(pp, mp, d, n, l) for d in d_range for n in n_range for l in l_range
+    )
+    return EnergyTable(pp=pp, mp=mp, cells=cells)
 
 
 # --------------------------------------------------------------------------

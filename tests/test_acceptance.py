@@ -34,7 +34,6 @@ from kgyukawa import (
     coulomb_energy,
     NonRelParams,
     oracle_energy,
-    solve_bound_branch,
     solve_energy,
     yukawa,
 )
@@ -171,7 +170,7 @@ def test_criterion_5_approximation_quality():
     # genuine decaying-branch state: recorded, not asserted
     pp = PotentialParams(v0=0.2, s0=0.2, a=0.05)
     qn = QuantumNumbers(n=1, l=0, d=3)
-    ref = solve_bound_branch(pp, MP, qn).energy
+    ref = solve_energy(pp, MP, qn, branch="decaying").energy
     grid = RadialGrid(r_min=1e-4, r_max=400.0, points=8000)
     bracket = (ref - 5e-3, ref + 5e-3)
     e_app = oracle_energy(pp, MP, qn, grid, "approximated",

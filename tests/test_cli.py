@@ -1,7 +1,10 @@
 """Command-line surface: output formats, config handling, exit codes."""
+import contextlib
 import csv
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -101,12 +104,21 @@ def test_table_no_bound_state_rows_exit_zero(capsys):
     assert rows[0]["energy"] == ""
 
 
-def test_table_threads_deterministic(capsys):
-    argv = ["table", *BASE, "--n-range", "1:3", "--l-range", "0:2", "--dim-range", "3:5"]
-    code1, out1, _ = run(capsys, [*argv, "--threads", "1"])
-    code8, out8, _ = run(capsys, [*argv, "--threads", "8"])
-    assert code1 == code8 == 0
-    assert out1 == out8
+def test_redirected_streams_are_freed():
+    # click.echo without an explicit file caches each redirected stream
+    # under a value that refers back to it, so the stream is never freed
+    refs = []
+    for argv, want in (
+        (["solve", *BASE], 0),
+        (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "5.0", "--mass", "1"], 2),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == want
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 4
 
 
 def test_table_json(capsys):

@@ -12,7 +12,7 @@ from kgyukawa import (
     effective_level,
     nonrel_energy,
     nonrel_limit_of_relativistic,
-    solve_bound_branch,
+    solve_energy,
 )
 
 MP = ParticleParams(mass=1.0)
@@ -73,7 +73,7 @@ def test_bound_state_existence_threshold():
     assert nonrel_energy(NonRelParams(mu, v0, 1.1 * a_crit), GROUND) < 0.0  # formula stays negative
     rel = PotentialParams(v0=v0 / 2, s0=v0 / 2, a=1.1 * a_crit)
     with pytest.raises(NoRootInBracket):
-        solve_bound_branch(rel, MP, GROUND)
+        solve_energy(rel, MP, GROUND, branch="decaying")
 
 
 def test_relativistic_limit_gap_is_small():

@@ -16,7 +16,7 @@ from kgyukawa import (
     effective_ode_coefficient,
     eigenvalue_k,
     oracle_energy,
-    solve_bound_branch,
+    solve_energy,
 )
 
 MP = ParticleParams(mass=1.0)
@@ -131,7 +131,7 @@ def oracle_grid(points=4000):
 def test_oracle_confirms_decaying_branch_state(pp_plus):
     # the genuine one-node bound state of the equal-mixture problem
     qn = QuantumNumbers(n=1, l=0, d=3)
-    ref = solve_bound_branch(pp_plus, MP, qn).energy
+    ref = solve_energy(pp_plus, MP, qn, branch="decaying").energy
     assert ref == pytest.approx(0.99503719, abs=1e-8)
     res = oracle_energy(
         pp_plus, MP, qn, oracle_grid(16000), "approximated",
@@ -157,7 +157,7 @@ def test_oracle_exact_vs_approximated_gap(pp_plus):
     # the two modes differ by the approximant quality at a = 0.05;
     # the gap is recorded, not asserted against a reference value
     qn = QuantumNumbers(n=1, l=0, d=3)
-    ref = solve_bound_branch(pp_plus, MP, qn).energy
+    ref = solve_energy(pp_plus, MP, qn, branch="decaying").energy
     grid = oracle_grid(8000)
     bracket = (ref - 5e-3, ref + 5e-3)
     e_app = oracle_energy(pp_plus, MP, qn, grid, "approximated",

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closed_form import COMPLEX_CHANNEL, NO_STATE, closed_form_energy
 from kgyukawa import (
     ComplexChannel,
     DomainError,
@@ -11,7 +14,6 @@ from kgyukawa import (
     ParticleParams,
     PotentialParams,
     QuantumNumbers,
-    SolverOptions,
     count_nodes,
     default_radial_grid,
     degeneracy_partner,
@@ -114,6 +116,54 @@ def test_solution_diagnostics(pp_half):
     assert sol.iterations > 0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    v0=st.floats(0.0, 0.6),
+    ratio=st.floats(-1.0, 1.0),
+    a=st.floats(0.002, 1.0),
+    n=st.integers(1, 4),
+    l=st.integers(0, 3),
+    d=st.integers(2, 10),
+)
+def test_both_branches_match_closed_form(v0, ratio, a, n, l, d):
+    s0 = ratio * v0
+    pp = PotentialParams(v0=v0, s0=s0, a=a)
+    qn = QuantumNumbers(n=n, l=l, d=d)
+    for branch in ("published", "decaying"):
+        want = closed_form_energy(v0, s0, a, MP.mass, n, l, d, branch)
+        if want == COMPLEX_CHANNEL:
+            with pytest.raises(ComplexChannel):
+                solve_energy(pp, MP, qn, branch)
+        elif want == NO_STATE:
+            with pytest.raises(NoRootInBracket):
+                solve_energy(pp, MP, qn, branch)
+        else:
+            assert solve_energy(pp, MP, qn, branch).energy == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoRootInBracket,
+    reason="at small screening the residual is so steep (slope -4e6) that the "
+    "bisected root, 1.7e-14 from the true one, misses the 1e-8 NU consistency "
+    "tolerance and is dropped",
+)
+def test_small_screening_root_survives_consistency_check():
+    pp = PotentialParams(v0=0.2, s0=0.2, a=1e-3)
+    qn = QuantumNumbers(n=1, l=0, d=10)
+    want = closed_form_energy(0.2, 0.2, 1e-3, MP.mass, 1, 0, 10, "published")
+    assert want == pytest.approx(-0.99998487791, abs=1e-11)
+    assert solve_energy(pp, MP, qn).energy == pytest.approx(want, abs=1e-10)
+
+
+def test_unknown_branch_is_rejected(pp_half):
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    with pytest.raises(DomainError):
+        solve_energy(pp_half, MP, qn, branch="bound")
+    with pytest.raises(DomainError):
+        energy_equation_residual(-0.9, pp_half, MP, qn, branch="bound")
+
+
 def test_no_bound_state_for_strong_screening():
     pp = PotentialParams(v0=0.2, s0=0.1, a=5.0)
     with pytest.raises(NoRootInBracket):
@@ -167,12 +217,6 @@ def test_table_grid_and_self_consistency(pp_half):
     tab = solve_table(pp_half, MP, n_range=[1, 2], l_range=[0, 1], d_range=[3, 4])
     assert len(tab.cells) == 8
     assert all(c.status == "ok" for c in tab.cells)
-    finer = solve_table(
-        pp_half, MP, n_range=[1, 2], l_range=[0, 1], d_range=[3, 4],
-        opts=SolverOptions(scan_points=40000),
-    )
-    for a, b in zip(tab.cells, finer.cells):
-        assert abs(a.energy - b.energy) <= 1e-10
 
 
 def test_table_empty_range(pp_half):
@@ -187,12 +231,6 @@ def test_table_records_cell_failures():
     pp = PotentialParams(v0=5.0, s0=0.0, a=0.05)
     tab = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
     assert tab.cells[0].status == "complex_channel"
-
-
-def test_table_threading_is_deterministic(pp_plus):
-    serial = solve_table(pp_plus, MP, [1, 2, 3], [0, 1], [3, 4, 5], threads=1)
-    threaded = solve_table(pp_plus, MP, [1, 2, 3], [0, 1], [3, 4, 5], threads=8)
-    assert [c.energy for c in serial.cells] == [c.energy for c in threaded.cells]
 
 
 # --------------------------------------------------------------------------
