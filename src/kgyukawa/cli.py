@@ -59,34 +59,26 @@ def fmt_num(x: Optional[float]) -> str:
     return f"{x:.9g}"
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(ctx: click.Context, _param, path: Optional[str]) -> None:
+    """Eager --config callback: the JSON object becomes the command's
+    default_map, so its keys (flag names, dashes as underscores) fill in
+    every flag not given on the command line."""
     if path is None:
-        return {}
+        return
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config {path} must hold a JSON object")
-    return data
+    # read each value as if typed after its flag, so that 2.7 is no integer
+    ctx.default_map = {
+        k: v if v is None or isinstance(v, str) else json.dumps(v) for k, v in data.items()
+    }
 
 
-def _merged(ctx: click.Context, cfg: dict, name: str):
-    """Config supplies values for flags not given on the command line."""
-    value = ctx.params.get(name)
-    src = ctx.get_parameter_source(name)
-    if src is not None and src.name == "COMMANDLINE":
-        return value
-    if name in cfg:
-        return cfg[name]
-    return value
-
-
-def _potential_from(ctx, cfg) -> PotentialParams:
-    v0 = _merged(ctx, cfg, "v0")
-    s0 = _merged(ctx, cfg, "s0")
-    beta = _merged(ctx, cfg, "beta")
-    a = _merged(ctx, cfg, "a")
+def _potential_from(params: dict) -> PotentialParams:
+    v0, s0, beta, a = params["v0"], params["s0"], params["beta"], params["a"]
     if v0 is None or a is None:
         raise DomainError("--v0 and --a are required")
     if (s0 is None) == (beta is None):
@@ -96,15 +88,8 @@ def _potential_from(ctx, cfg) -> PotentialParams:
     return PotentialParams(v0=v0, s0=s0, a=a)
 
 
-def _mass_from(ctx, cfg) -> ParticleParams:
-    mass = _merged(ctx, cfg, "mass")
-    return ParticleParams(mass=mass)
-
-
-def _qn_from(ctx, cfg) -> QuantumNumbers:
-    return QuantumNumbers(
-        n=_merged(ctx, cfg, "n"), l=_merged(ctx, cfg, "l"), d=_merged(ctx, cfg, "dim")
-    )
+def _qn_from(params: dict) -> QuantumNumbers:
+    return QuantumNumbers(n=params["n"], l=params["l"], d=params["dim"])
 
 
 def parse_range(spec: str) -> list[int]:
@@ -141,10 +126,11 @@ def _csv_text(header, rows) -> str:
 
 
 def common_options(f):
-    f = click.option("--config", "config_path", type=str, default=None,
+    f = click.option("--config", type=str, default=None, is_eager=True, expose_value=False,
+                     callback=_load_config,
                      help="JSON file mirroring the flags; flags override it.")(f)
     f = click.option("--out", "out", type=str, default=None, help="Output file (default stdout).")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+    f = click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
                      help="Structured output format.")(f)
     f = click.option("--mass", type=float, default=1.0, show_default=True, help="Rest mass M (fm^-1).")(f)
     f = click.option("--a", "a", type=float, default=None, help="Screening parameter (fm^-1).")(f)
@@ -174,12 +160,11 @@ def cli():
 @click.pass_context
 def solve(ctx, **_kw):
     """Solve a single (n, l, D) state and print energy diagnostics."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    qn = _qn_from(ctx, cfg)
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    qn = _qn_from(ctx.params)
     sol = solve_energy(pp, mp, qn)
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = {
             "energy": sol.energy,
             "epsilon": sol.epsilon,
@@ -205,14 +190,13 @@ def solve(ctx, **_kw):
 @click.pass_context
 def table(ctx, **_kw):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    n_range = parse_range(_merged(ctx, cfg, "n_range"))
-    l_range = parse_range(_merged(ctx, cfg, "l_range"))
-    d_range = parse_range(_merged(ctx, cfg, "dim_range"))
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    n_range = parse_range(ctx.params["n_range"])
+    l_range = parse_range(ctx.params["l_range"])
+    d_range = parse_range(ctx.params["dim_range"])
     tab = solve_table(pp, mp, n_range, l_range, d_range)
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = [
             {
                 "dim": c.dim, "n": c.n, "l": c.l,
@@ -244,12 +228,11 @@ def table(ctx, **_kw):
 @click.pass_context
 def degeneracy(ctx, **_kw):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    n_range = parse_range(_merged(ctx, cfg, "n_range"))
-    l_range = parse_range(_merged(ctx, cfg, "l_range"))
-    d_range = parse_range(_merged(ctx, cfg, "dim_range"))
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    n_range = parse_range(ctx.params["n_range"])
+    l_range = parse_range(ctx.params["l_range"])
+    d_range = parse_range(ctx.params["dim_range"])
     rows = []
     worst = 0.0
     for d in d_range:
@@ -277,7 +260,7 @@ def degeneracy(ctx, **_kw):
                     )
     header = ("dim", "n", "l", "direction", "partner_dim", "partner_l",
               "energy", "partner_energy", "delta")
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps({"rows": payload, "max_delta": worst}, indent=2) + "\n",
               ctx.params["out"])
@@ -295,13 +278,12 @@ def degeneracy(ctx, **_kw):
 @click.pass_context
 def wavefunction(ctx, **_kw):
     """Export the normalized radial wavefunction as (r, R) samples."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    qn = _qn_from(ctx, cfg)
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    qn = _qn_from(ctx.params)
     sol = solve_energy(pp, mp, qn)
     wf = radial_wavefunction(sol, pp, mp, qn, default_radial_grid(sol.epsilon, ctx.params["points"]))
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = {
             "energy": sol.energy,
             "jacobi_alpha": wf.jacobi_alpha,
@@ -325,13 +307,11 @@ def wavefunction(ctx, **_kw):
 @click.pass_context
 def potential(ctx, **_kw):
     """Tabulate the exact potential against its exponential approximant."""
-    cfg = _load_config(ctx.params["config_path"])
-    v0 = _merged(ctx, cfg, "v0")
-    a = _merged(ctx, cfg, "a")
+    v0, a = ctx.params["v0"], ctx.params["a"]
     if v0 is None or a is None:
         raise DomainError("--v0 and --a are required")
     prof = profile(v0, a, ctx.params["r_min"], ctx.params["r_max"], ctx.params["points"])
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = [
             {"r": r, "exact": e, "approx": ap, "abs_err": ae,
              "rel_err": None if math.isnan(re) else re}
@@ -357,10 +337,9 @@ def potential(ctx, **_kw):
 def oracle(ctx, **_kw):
     """Cross-check the quantization-equation energy against the
     finite-difference eigensolver."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    qn = _qn_from(ctx, cfg)
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    qn = _qn_from(ctx.params)
     modes = ["approximated", "exact"] if ctx.params["mode"] == "both" else [ctx.params["mode"]]
     results = []
     for mode in modes:
@@ -379,7 +358,7 @@ def oracle(ctx, **_kw):
         )
         for c in results
     ]
-    if ctx.params["fmt"] == "json":
+    if ctx.params["format"] == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
     else:
@@ -397,10 +376,9 @@ def oracle(ctx, **_kw):
 def limits(ctx, **_kw):
     """Print Schrodinger/Coulomb limit energies and the relativistic
     convergence report."""
-    cfg = _load_config(ctx.params["config_path"])
-    pp = _potential_from(ctx, cfg)
-    mp = _mass_from(ctx, cfg)
-    qn = _qn_from(ctx, cfg)
+    pp = _potential_from(ctx.params)
+    mp = ParticleParams(mass=ctx.params["mass"])
+    qn = _qn_from(ctx.params)
     try:
         a_seq = [float(tok) for tok in ctx.params["a_sequence"].split(",") if tok.strip()]
     except ValueError:

@@ -1,11 +1,14 @@
 """Independent finite-difference eigensolver for the radial equation.
 
 Discretizes -R'' + W(r; E_frozen) R = lambda R with Dirichlet ends on a
-uniform grid (second-order central differences) and extracts single
-eigenvalues of the symmetric tridiagonal matrix by Sturm-sequence
-counting with bisection.  The quadratic E-dependence of the original
-equation is closed self-consistently: a bound state is a root of
-g(E) = lambda_k(E) - (E^2 - M^2).
+uniform grid (second-order central differences).  The quadratic
+E-dependence of the original equation is closed self-consistently: a
+bound state is a root of g(E) = lambda_k(E) - (E^2 - M^2).  Only the
+sign of g is needed, and one Sturm count of the symmetric tridiagonal
+matrix at x = E^2 - M^2 gives it exactly (lambda_k > x iff at most k
+eigenvalues lie below x), so the closure root is a single bisection
+over E.  :func:`eigenvalue_k` still extracts single eigenvalues by
+Sturm-count bisection.
 
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
@@ -23,31 +26,20 @@ from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
 from .solver import solve_energy
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
 
-
-def _sturm_count_py(diag, e2: float, x: float) -> int:
-    count = 0
-    q = 1.0
-    for i in range(diag.shape[0]):
-        if i == 0:
-            q = diag[0] - x
-        else:
-            if q == 0.0:
-                q = 1e-300
-            q = diag[i] - x - e2 / q
+def _sturm_count(diag, e2: float, x: float) -> int:
+    """Number of eigenvalues below x of the symmetric tridiagonal matrix
+    with diagonal diag and squared off-diagonal e2."""
+    pivots = diag.tolist()  # Python floats: the loop runs several times faster
+    q = pivots[0] - x
+    count = int(q < 0.0)
+    for d in pivots[1:]:
+        if q == 0.0:
+            q = 1e-300
+        q = d - x - e2 / q
         if q < 0.0:
             count += 1
     return count
-
-
-if njit is not None:
-    _sturm_count = njit(cache=True)(_sturm_count_py)
-else:  # pragma: no cover
-    _sturm_count = _sturm_count_py
 
 
 @dataclass(frozen=True)
@@ -191,8 +183,10 @@ def eigenvalue_k(
 
 
 def _closure(E, pp, mp, qn, grid, mode, k):
-    lam = eigenvalue_k(E, pp, mp, qn, grid, mode, k)
-    return lam - (E * E - mp.mass * mp.mass)
+    """k + 1/2 minus the count of eigenvalues below E^2 - M^2: never zero,
+    with the sign of g(E) = lambda_k(E) - (E^2 - M^2)."""
+    diag, e2 = _tridiag(E, pp, mp, qn, grid, mode)
+    return k + 0.5 - _sturm_count(diag, e2, E * E - mp.mass * mp.mass)
 
 
 def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol):
@@ -216,7 +210,7 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol):
     if not brackets:
         raise NoRootInBracket(
             f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
-            f"for {qn} at eigen_index {k} ({mode} mode)"
+            f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
         )
     b_lo, b_hi = brackets[0]
     root, _ = bisect(g, b_lo, b_hi, tol)
@@ -236,12 +230,15 @@ def oracle_energy(
 ) -> OracleResult:
     """Self-consistent bound-state energy from the frozen-E eigenproblem.
 
-    Bisects g(E) = lambda_k(E) - (E^2 - M^2) on the given bracket (or on
-    a coarse scan of (-M, M) when none is given) and Richardson-
-    extrapolates against the doubled grid.  eigen_index defaults to
-    n - 1, pairing the node ordering with the radial label; when the
-    pairing (or the bracket) is wrong this raises
-    :class:`NoRootInBracket` rather than silently reindexing.
+    Bisects the sign of g(E) = lambda_k(E) - (E^2 - M^2) on the given
+    bracket (or on a coarse scan of (-M, M) when none is given) and
+    Richardson-extrapolates against the doubled grid, whose root is
+    sought only in a narrow bracket (at least +-1e-4) around the coarse
+    one.  eigen_index defaults to n - 1, pairing the node ordering with
+    the radial label; when the pairing (or the bracket) is wrong, or the
+    doubled grid has no root next to the coarse one, this raises
+    :class:`NoRootInBracket` rather than silently reindexing or pairing
+    different roots.
     """
     k = qn.n - 1 if eigen_index is None else eigen_index
     root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol)
@@ -249,10 +246,7 @@ def oracle_energy(
     fine = grid.doubled()
     half = max(5.0 * abs(tol) * max(1.0, abs(root)), 1e-4)
     fine_bracket = (root - half, root + half)
-    try:
-        root_fine = _closure_root(pp, mp, qn, fine, mode, k, fine_bracket, 21, tol)
-    except NoRootInBracket:
-        root_fine = _closure_root(pp, mp, qn, fine, mode, k, bracket, scan_points, tol)
+    root_fine = _closure_root(pp, mp, qn, fine, mode, k, fine_bracket, 21, tol)
     rho = (fine.points - 1) / (grid.points - 1)  # spacing ratio h/h_fine
     richardson = (root_fine * rho**2 - root) / (rho**2 - 1.0)
     return OracleResult(energy=root, eigen_index=k, grid=grid, richardson_estimate=richardson)

@@ -23,7 +23,7 @@ from .errors import (
     NoRootInBracket,
     NormalizationFailure,
 )
-from .nu import NuProblem, derive_coefficients, energy_relation_residual, wavefunction_exponents
+from .nu import NuProblem, derive_coefficients, wavefunction_exponents
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
 from .special import jacobi_eval
@@ -33,9 +33,6 @@ SCAN_POINTS = 20000
 TOLERANCE = 5e-14
 # Margin keeping the scan strictly inside (-M, M).
 SCAN_EDGE = 1e-9
-# A published-branch root is accepted only if the mapped canonical-form
-# quantization residual also vanishes there.
-_NU_CONSISTENCY_TOL = 1e-8
 # Sign of the eps/a term in the quantization condition, per branch.
 _EPS_SIGN = {"published": -1.0, "decaying": 1.0}
 
@@ -126,12 +123,6 @@ def energy_equation_residual(
     return float(out) if out.ndim == 0 else out
 
 
-def _nu_residual_at(pp, mp, qn, energy: float) -> float:
-    problem = map_to_nu(pp, mp, qn, energy)
-    coeffs = derive_coefficients(problem)
-    return energy_relation_residual(problem, coeffs, qn.n)
-
-
 def solve_energy(
     pp: PotentialParams,
     mp: ParticleParams,
@@ -142,17 +133,14 @@ def solve_energy(
     couplings and (n, l, d).
 
     Scans the branch's residual on SCAN_POINTS uniform points over
-    (-M, M), brackets every sign change and refines each by bisection to
-    |dE| < TOLERANCE.  On the "published" branch a root is kept only if
-    the mapped canonical-form quantization residual also vanishes there
-    (guards against refinement landing on a kink), and the lowest kept
-    root is returned.  On the "decaying" branch the highest root is
-    returned: the state with a nonrelativistic counterpart near E = +M.
+    (-M, M) for sign changes and refines by bisection, to
+    |dE| < TOLERANCE, the lowest root on the "published" branch or the
+    highest on the "decaying" branch (the state with a nonrelativistic
+    counterpart near E = +M).
 
     Raises :class:`NoRootInBracket` when no root is found: no bound
     state for these quantum numbers at these couplings.
     """
-    published = branch == "published"
     m = mp.mass
     grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
     values = energy_equation_residual(grid, pp, mp, qn, branch)
@@ -163,22 +151,16 @@ def solve_energy(
     def f(E: float) -> float:
         return energy_equation_residual(E, pp, mp, qn, branch)
 
-    best: Optional[EnergySolution] = None
-    for lo, hi in brackets:
-        root, iters = bisect(f, lo, hi, TOLERANCE)
-        if published and abs(_nu_residual_at(pp, mp, qn, root)) > _NU_CONSISTENCY_TOL:
-            continue
-        if best is None or (root < best.energy if published else root > best.energy):
-            best = EnergySolution(
-                energy=root,
-                epsilon=math.sqrt(m * m - root * root),
-                residual=f(root),
-                bracket=(lo, hi),
-                iterations=iters,
-            )
-    if best is None:
-        raise NoRootInBracket(f"all bracketed roots failed the consistency check for {qn}")
-    return best
+    # brackets are disjoint and ascending, so their roots are too
+    lo, hi = brackets[0] if branch == "published" else brackets[-1]
+    root, iters = bisect(f, lo, hi, TOLERANCE)
+    return EnergySolution(
+        energy=root,
+        epsilon=math.sqrt(m * m - root * root),
+        residual=f(root),
+        bracket=(lo, hi),
+        iterations=iters,
+    )
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,27 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert "-0.98885705" in out  # flag overrides config
 
 
+def test_config_supplies_every_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"v0": 1.41421356, "a": 0.0707106781, "points": 40,
+                               "format": "json"}))
+    code, out, _ = run(capsys, ["potential", "--config", str(cfg)])
+    assert code == 0
+    assert len(json.loads(out)) == 40
+    code, out, _ = run(capsys, ["potential", "--config", str(cfg), "--format", "csv"])
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 40
+
+
+@pytest.mark.parametrize("bad", [{"v0": "abc"}, {"n": 2.7}])
+def test_config_value_of_wrong_type_is_input_error(capsys, tmp_path, bad):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"v0": 0.2, "s0": 0.1, "a": 0.05, **bad}))
+    code, _, err = run(capsys, ["solve", "--config", str(cfg)])
+    assert code == 1
+    assert "invalid" in err.lower()
+
+
 def test_config_invalid_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

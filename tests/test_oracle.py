@@ -18,6 +18,7 @@ from kgyukawa import (
     oracle_energy,
     solve_energy,
 )
+from kgyukawa.oracle import _closure
 
 MP = ParticleParams(mass=1.0)
 # zero-coupling parameters make the s-wave d=3 problem a particle in a box
@@ -167,6 +168,24 @@ def test_oracle_exact_vs_approximated_gap(pp_plus):
     gap = abs(e_app - e_ex)
     print(f"\napproximation gap at a=0.05: {gap:.3e} fm^-1")
     assert math.isfinite(gap)
+
+
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+def test_closure_sign_matches_eigenvalue(pp_plus, mode):
+    # the closure reads only a Sturm count; its sign must be that of
+    # lambda_k(E) - (E^2 - M^2) from the eigenvalue itself
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    grid = oracle_grid(2000)
+    signs = set()
+    for k in (0, 1, 2):
+        # dense towards +M, where the closure roots of these states lie
+        for E in np.tanh(np.linspace(-2.0, 6.0, 20)):
+            g = _closure(E, pp_plus, MP, qn, grid, mode, k)
+            lam = eigenvalue_k(E, pp_plus, MP, qn, grid, mode, k)
+            assert g != 0.0
+            assert (g > 0.0) == (lam - (E * E - MP.mass**2) > 0.0), (k, E)
+            signs.add(g > 0.0)
+    assert signs == {True, False}
 
 
 def test_oracle_rejects_bracket_without_root(pp_plus):

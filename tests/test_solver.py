@@ -120,7 +120,7 @@ def test_solution_diagnostics(pp_half):
 @given(
     v0=st.floats(0.0, 0.6),
     ratio=st.floats(-1.0, 1.0),
-    a=st.floats(0.002, 1.0),
+    a=st.floats(0.001, 1.0),
     n=st.integers(1, 4),
     l=st.integers(0, 3),
     d=st.integers(2, 10),
@@ -141,14 +141,10 @@ def test_both_branches_match_closed_form(v0, ratio, a, n, l, d):
             assert solve_energy(pp, MP, qn, branch).energy == pytest.approx(want, abs=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NoRootInBracket,
-    reason="at small screening the residual is so steep (slope -4e6) that the "
-    "bisected root, 1.7e-14 from the true one, misses the 1e-8 NU consistency "
-    "tolerance and is dropped",
-)
 def test_small_screening_root_survives_consistency_check():
+    # the residual's slope here is -4e6, so the bisected root's NU residual
+    # (1.7e-8) is far above the true root's (6.5e-11): no NU-residual
+    # acceptance test may drop it
     pp = PotentialParams(v0=0.2, s0=0.2, a=1e-3)
     qn = QuantumNumbers(n=1, l=0, d=10)
     want = closed_form_energy(0.2, 0.2, 1e-3, MP.mass, 1, 0, 10, "published")
