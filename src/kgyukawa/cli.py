@@ -77,23 +77,23 @@ def _load_config(ctx: click.Context, _param, path: Optional[str]) -> None:
     }
 
 
-def _potential_from(params: dict) -> PotentialParams:
+def _inputs(params: dict) -> tuple[PotentialParams, ParticleParams, Optional[QuantumNumbers]]:
+    """Couplings, particle and, for the single-state commands, the state
+    (None for the grid commands) from the command's flags."""
     v0, s0, beta, a = params["v0"], params["s0"], params["beta"], params["a"]
-    if v0 is None or a is None:
-        raise DomainError("--v0 and --a are required")
     if (s0 is None) == (beta is None):
         raise DomainError("exactly one of --s0 or --beta must be given")
     if beta is not None:
-        return PotentialParams.from_beta(v0=v0, beta=beta, a=a)
-    return PotentialParams(v0=v0, s0=s0, a=a)
+        pp = PotentialParams.from_beta(v0=v0, beta=beta, a=a)
+    else:
+        pp = PotentialParams(v0=v0, s0=s0, a=a)
+    mp = ParticleParams(mass=params["mass"])
+    qn = QuantumNumbers(n=params["n"], l=params["l"], d=params["dim"]) if "n" in params else None
+    return pp, mp, qn
 
 
-def _qn_from(params: dict) -> QuantumNumbers:
-    return QuantumNumbers(n=params["n"], l=params["l"], d=params["dim"])
-
-
-def parse_range(spec: str) -> list[int]:
-    """'3:10' (inclusive) or '1,2,3' or a single integer."""
+def parse_range(_ctx, _param, spec: str) -> list[int]:
+    """Range-flag callback: '3:10' (inclusive) or '1,2,3' or a single integer."""
     spec = spec.strip()
     try:
         if ":" in spec:
@@ -109,20 +109,25 @@ def parse_range(spec: str) -> list[int]:
         raise DomainError(f"cannot parse range {spec!r}; use LO:HI or a,b,c") from None
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(params: dict, header, rows, payload=None):
+    """Write to --out or stdout: under --format json the payload, or else
+    the rows keyed by header; otherwise CSV rows under header, or text
+    lines when header is None (text under either format if no payload)."""
+    if params["format"] == "json" and (payload is not None or header is not None):
+        if payload is None:
+            payload = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+    elif header is None:
+        text = "".join(line + "\n" for line in rows)
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    if params["out"]:
+        Path(params["out"]).write_text(text, encoding="utf-8")
     else:
         # an explicit file keeps click from caching, and never freeing, the stream
         click.echo(text, nl=False, file=sys.stdout)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def common_options(f):
@@ -133,10 +138,10 @@ def common_options(f):
     f = click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
                      help="Structured output format.")(f)
     f = click.option("--mass", type=float, default=1.0, show_default=True, help="Rest mass M (fm^-1).")(f)
-    f = click.option("--a", "a", type=float, default=None, help="Screening parameter (fm^-1).")(f)
+    f = click.option("--a", "a", type=float, required=True, help="Screening parameter (fm^-1).")(f)
     f = click.option("--beta", type=float, default=None, help="Mixing ratio s0/v0 (alternative to --s0).")(f)
     f = click.option("--s0", type=float, default=None, help="Scalar strength.")(f)
-    f = click.option("--v0", type=float, default=None, help="Vector strength.")(f)
+    f = click.option("--v0", type=float, required=True, help="Vector strength.")(f)
     return f
 
 
@@ -144,6 +149,13 @@ def state_options(f):
     f = click.option("--dim", type=int, default=3, show_default=True)(f)
     f = click.option("--l", "l", type=int, default=0, show_default=True)(f)
     f = click.option("--n", "n", type=int, default=1, show_default=True)(f)
+    return f
+
+
+def grid_options(f):
+    f = click.option("--dim-range", default="3:10", show_default=True, callback=parse_range)(f)
+    f = click.option("--l-range", default="0:2", show_default=True, callback=parse_range)(f)
+    f = click.option("--n-range", default="1:3", show_default=True, callback=parse_range)(f)
     return f
 
 
@@ -160,97 +172,79 @@ def cli():
 @click.pass_context
 def solve(ctx, **_kw):
     """Solve a single (n, l, D) state and print energy diagnostics."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    qn = _qn_from(ctx.params)
-    sol = solve_energy(pp, mp, qn)
-    if ctx.params["format"] == "json":
-        payload = {
-            "energy": sol.energy,
-            "epsilon": sol.epsilon,
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
-    else:
-        lines = [
-            f"energy = {fmt_energy(sol.energy)}",
-            f"epsilon = {fmt_energy(sol.epsilon)}",
-            f"residual = {fmt_num(sol.residual)}",
-            f"iterations = {sol.iterations}",
-        ]
-        _emit("\n".join(lines) + "\n", ctx.params["out"])
+    sol = solve_energy(*_inputs(ctx.params))
+    lines = [
+        f"energy = {fmt_energy(sol.energy)}",
+        f"epsilon = {fmt_energy(sol.epsilon)}",
+        f"residual = {fmt_num(sol.residual)}",
+        f"iterations = {sol.iterations}",
+    ]
+    payload = {
+        "energy": sol.energy,
+        "epsilon": sol.epsilon,
+        "residual": sol.residual,
+        "iterations": sol.iterations,
+    }
+    _emit(ctx.params, None, lines, payload)
 
 
 @cli.command()
 @common_options
-@click.option("--n-range", type=str, default="1:3", show_default=True)
-@click.option("--l-range", type=str, default="0:2", show_default=True)
-@click.option("--dim-range", type=str, default="3:10", show_default=True)
+@grid_options
 @click.pass_context
 def table(ctx, **_kw):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    n_range = parse_range(ctx.params["n_range"])
-    l_range = parse_range(ctx.params["l_range"])
-    d_range = parse_range(ctx.params["dim_range"])
-    tab = solve_table(pp, mp, n_range, l_range, d_range)
-    if ctx.params["format"] == "json":
-        payload = [
-            {
-                "dim": c.dim, "n": c.n, "l": c.l,
-                "energy": c.energy, "residual": c.residual, "status": c.status,
-            }
-            for c in tab.cells
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
-    else:
-        rows = [
-            (
-                c.dim, c.n, c.l,
-                fmt_energy(c.energy) if c.energy is not None else "",
-                fmt_num(c.residual),
-                c.status,
-            )
-            for c in tab.cells
-        ]
-        _emit(_csv_text(tab.CSV_HEADER, rows), ctx.params["out"])
+    pp, mp, _ = _inputs(ctx.params)
+    tab = solve_table(pp, mp, ctx.params["n_range"], ctx.params["l_range"], ctx.params["dim_range"])
+    rows = [
+        (
+            c.dim, c.n, c.l,
+            fmt_energy(c.energy) if c.energy is not None else "",
+            fmt_num(c.residual),
+            c.status,
+        )
+        for c in tab.cells
+    ]
+    payload = [
+        {
+            "dim": c.dim, "n": c.n, "l": c.l,
+            "energy": c.energy, "residual": c.residual, "status": c.status,
+        }
+        for c in tab.cells
+    ]
+    _emit(ctx.params, tab.CSV_HEADER, rows, payload)
 
 
 @cli.command()
 @common_options
-@click.option("--n-range", type=str, default="1:3", show_default=True)
-@click.option("--l-range", type=str, default="0:2", show_default=True)
-@click.option("--dim-range", type=str, default="3:10", show_default=True)
+@grid_options
 @click.option("--max-delta", type=float, default=1e-10, show_default=True,
               help="Acceptance threshold on |E - E_partner|.")
 @click.pass_context
 def degeneracy(ctx, **_kw):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    n_range = parse_range(ctx.params["n_range"])
-    l_range = parse_range(ctx.params["l_range"])
-    d_range = parse_range(ctx.params["dim_range"])
+    pp, mp, _ = _inputs(ctx.params)
+
+    def solved(qn, direction=None):
+        """qn, or its partner going direction, with its energy; (None, None)
+        when the partner leaves the domain or the state has no solution."""
+        try:
+            state = qn if direction is None else degeneracy_partner(qn, direction)
+            return state, solve_energy(pp, mp, state).energy
+        except (OutOfDomain, NoRootInBracket, ComplexChannel):
+            return None, None
+
     rows = []
     worst = 0.0
-    for d in d_range:
-        for n in n_range:
-            for l in l_range:
-                qn = QuantumNumbers(n=n, l=l, d=d)
-                try:
-                    e = solve_energy(pp, mp, qn).energy
-                except (NoRootInBracket, ComplexChannel):
+    for d in ctx.params["dim_range"]:
+        for n in ctx.params["n_range"]:
+            for l in ctx.params["l_range"]:
+                qn, e = solved(QuantumNumbers(n=n, l=l, d=d))
+                if qn is None:
                     continue
                 for direction in ("up", "down"):
-                    try:
-                        partner = degeneracy_partner(qn, direction)
-                    except OutOfDomain:
-                        continue
-                    try:
-                        e_p = solve_energy(pp, mp, partner).energy
-                    except (NoRootInBracket, ComplexChannel):
+                    partner, e_p = solved(qn, direction)
+                    if partner is None:
                         continue
                     delta = abs(e - e_p)
                     worst = max(worst, delta)
@@ -260,12 +254,8 @@ def degeneracy(ctx, **_kw):
                     )
     header = ("dim", "n", "l", "direction", "partner_dim", "partner_l",
               "energy", "partner_energy", "delta")
-    if ctx.params["format"] == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps({"rows": payload, "max_delta": worst}, indent=2) + "\n",
-              ctx.params["out"])
-    else:
-        _emit(_csv_text(header, rows), ctx.params["out"])
+    payload = {"rows": [dict(zip(header, row)) for row in rows], "max_delta": worst}
+    _emit(ctx.params, header, rows, payload)
     click.echo(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)
     if worst > ctx.params["max_delta"]:
         raise NoRootInBracket(f"degeneracy violated: max |delta| = {worst}")
@@ -278,25 +268,20 @@ def degeneracy(ctx, **_kw):
 @click.pass_context
 def wavefunction(ctx, **_kw):
     """Export the normalized radial wavefunction as (r, R) samples."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    qn = _qn_from(ctx.params)
+    pp, mp, qn = _inputs(ctx.params)
     sol = solve_energy(pp, mp, qn)
     wf = radial_wavefunction(sol, pp, mp, qn, default_radial_grid(sol.epsilon, ctx.params["points"]))
-    if ctx.params["format"] == "json":
-        payload = {
-            "energy": sol.energy,
-            "jacobi_alpha": wf.jacobi_alpha,
-            "jacobi_beta": wf.jacobi_beta,
-            "norm": wf.norm,
-            "nodes": count_nodes(wf),
-            "samples": [[float(r), float(v)] for r, v in wf.samples],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
-    else:
-        rows = [(fmt_num(r), fmt_num(v)) for r, v in wf.samples]
-        _emit(_csv_text(("r", "R"), rows), ctx.params["out"])
-    click.echo(f"nodes = {count_nodes(wf)}", file=sys.stderr)
+    nodes = count_nodes(wf)
+    payload = {
+        "energy": sol.energy,
+        "jacobi_alpha": wf.jacobi_alpha,
+        "jacobi_beta": wf.jacobi_beta,
+        "norm": wf.norm,
+        "nodes": nodes,
+        "samples": [[float(r), float(v)] for r, v in wf.samples],
+    }
+    _emit(ctx.params, ("r", "R"), [(fmt_num(r), fmt_num(v)) for r, v in wf.samples], payload)
+    click.echo(f"nodes = {nodes}", file=sys.stderr)
 
 
 @cli.command()
@@ -308,23 +293,18 @@ def wavefunction(ctx, **_kw):
 def potential(ctx, **_kw):
     """Tabulate the exact potential against its exponential approximant."""
     v0, a = ctx.params["v0"], ctx.params["a"]
-    if v0 is None or a is None:
-        raise DomainError("--v0 and --a are required")
     prof = profile(v0, a, ctx.params["r_min"], ctx.params["r_max"], ctx.params["points"])
-    if ctx.params["format"] == "json":
-        payload = [
-            {"r": r, "exact": e, "approx": ap, "abs_err": ae,
-             "rel_err": None if math.isnan(re) else re}
-            for r, e, ap, ae, re in prof.rows()
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
-    else:
-        rows = [
-            (fmt_num(r), fmt_num(e), fmt_num(ap), fmt_num(ae),
-             "" if math.isnan(re) else fmt_num(re))
-            for r, e, ap, ae, re in prof.rows()
-        ]
-        _emit(_csv_text(prof.CSV_HEADER, rows), ctx.params["out"])
+    rows = [
+        (fmt_num(r), fmt_num(e), fmt_num(ap), fmt_num(ae),
+         "" if math.isnan(re) else fmt_num(re))
+        for r, e, ap, ae, re in prof.rows()
+    ]
+    payload = [
+        {"r": r, "exact": e, "approx": ap, "abs_err": ae,
+         "rel_err": None if math.isnan(re) else re}
+        for r, e, ap, ae, re in prof.rows()
+    ]
+    _emit(ctx.params, prof.CSV_HEADER, rows, payload)
 
 
 @cli.command()
@@ -337,14 +317,9 @@ def potential(ctx, **_kw):
 def oracle(ctx, **_kw):
     """Cross-check the quantization-equation energy against the
     finite-difference eigensolver."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    qn = _qn_from(ctx.params)
+    pp, mp, qn = _inputs(ctx.params)
     modes = ["approximated", "exact"] if ctx.params["mode"] == "both" else [ctx.params["mode"]]
-    results = []
-    for mode in modes:
-        cmp_ = cross_validate(pp, mp, qn, mode=mode, points=ctx.params["points"])
-        results.append(cmp_)
+    results = [cross_validate(pp, mp, qn, mode=mode, points=ctx.params["points"]) for mode in modes]
     header = ("mode", "e_solver", "status", "eigen_index", "e_oracle",
               "richardson", "delta", "nearest_root", "nearest_delta")
     rows = [
@@ -358,11 +333,7 @@ def oracle(ctx, **_kw):
         )
         for c in results
     ]
-    if ctx.params["format"] == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", ctx.params["out"])
-    else:
-        _emit(_csv_text(header, rows), ctx.params["out"])
+    _emit(ctx.params, header, rows)
     if any(c.status != "validated" for c in results):
         raise NoRootInBracket("eigensolver did not validate the solver energy; see output")
 
@@ -376,9 +347,7 @@ def oracle(ctx, **_kw):
 def limits(ctx, **_kw):
     """Print Schrodinger/Coulomb limit energies and the relativistic
     convergence report."""
-    pp = _potential_from(ctx.params)
-    mp = ParticleParams(mass=ctx.params["mass"])
-    qn = _qn_from(ctx.params)
+    pp, mp, qn = _inputs(ctx.params)
     try:
         a_seq = [float(tok) for tok in ctx.params["a_sequence"].split(",") if tok.strip()]
     except ValueError:
@@ -395,7 +364,7 @@ def limits(ctx, **_kw):
             f"E_rel - M = {fmt_num(row.e_relativistic - mp.mass)}, "
             f"E_nonrel = {fmt_num(row.e_nonrelativistic)}, gap = {fmt_num(row.gap)}"
         )
-    _emit("\n".join(lines) + "\n", ctx.params["out"])
+    _emit(ctx.params, None, lines)
 
 
 def main(argv=None) -> int:

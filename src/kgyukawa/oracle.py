@@ -23,8 +23,16 @@ import numpy as np
 
 from .errors import ComplexChannel, ConvergenceFailure, DomainError, NoRootInBracket
 from .params import ParticleParams, PotentialParams, QuantumNumbers
+from .potentials import approx_yukawa, centrifugal_approx, yukawa
 from .rootfind import bisect, sign_change_brackets
 from .solver import solve_energy
+
+# closure-root bisection tolerance on E
+_TOL = 1e-12
+# half-width of the doubled grid's bracket around the coarse root
+_FINE_HALF_WIDTH = 1e-4
+# half-width of cross_validate's bracket around the solver energy
+_HALF_WIDTH = 5e-3
 
 
 def _sturm_count(diag, e2: float, x: float) -> int:
@@ -89,6 +97,27 @@ def default_oracle_grid(epsilon_estimate: float, points: int = 16000) -> RadialG
     return RadialGrid(r_min=1e-4, r_max=max(400.0, 40.0 / epsilon_estimate), points=points)
 
 
+def _potential(r, E, pp, mp, qn, mode):
+    """W(r; E) in -R'' + W R = (E^2 - M^2) R: the Yukawa couplings
+    V = v0*u and S = s0*u at the frozen energy, from (E - V)^2 - (M + S)^2,
+    plus the centrifugal term.  Mode "exact" takes the bare u = -exp(-ar)/r
+    and 1/r^2; mode "approximated" takes their exponential-rational
+    approximants, i.e. the equation the quantization path solves."""
+    if mode == "exact":
+        u = yukawa(r, 1.0, pp.a)
+        centrifugal = 1.0 / np.asarray(r, dtype=float) ** 2
+    elif mode == "approximated":
+        u = approx_yukawa(r, 1.0, pp.a)
+        centrifugal = centrifugal_approx(r, pp.a)
+    else:
+        raise DomainError(f"mode must be 'exact' or 'approximated', got {mode!r}")
+    return (
+        2.0 * (E * pp.v0 + mp.mass * pp.s0) * u
+        + (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
+        + qn.centrifugal_constant() * centrifugal
+    )
+
+
 def effective_ode_coefficient(
     r,
     E: float,
@@ -97,7 +126,8 @@ def effective_ode_coefficient(
     qn: QuantumNumbers,
     mode: str,
 ):
-    """Coefficient multiplying R in the reduced radial equation R'' + c(r)R = 0.
+    """Coefficient multiplying R in the reduced radial equation R'' + c(r)R = 0,
+    c = E^2 - M^2 - W(r; E).
 
     mode "exact" uses the bare 1/r and 1/r^2 singular terms; mode
     "approximated" uses their exponential-rational replacements, i.e. the
@@ -106,46 +136,14 @@ def effective_ode_coefficient(
     m = mp.mass
     if not (-m < E < m):
         raise DomainError(f"E must lie in (-M, M), got {E}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be > 0")
-    eps2 = m * m - E * E
-    quad = pp.v0 * pp.v0 - pp.s0 * pp.s0
-    coul = 2.0 * (m * pp.s0 + E * pp.v0)
-    cf = qn.centrifugal_constant()
-    a = pp.a
-    if mode == "exact":
-        out = (
-            -eps2
-            + quad * np.exp(-2.0 * a * r) / r**2
-            + coul * np.exp(-a * r) / r
-            - cf / r**2
-        )
-    elif mode == "approximated":
-        ex = np.exp(-2.0 * a * r)
-        den = 1.0 - ex
-        out = (
-            -eps2
-            + 4.0 * a * a * quad * ex * ex / den**2
-            + 2.0 * a * coul * ex / den
-            - 4.0 * a * a * cf * ex / den**2
-        )
-    else:
-        raise DomainError(f"mode must be 'exact' or 'approximated', got {mode!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def _frozen_potential(r, E, pp, mp, qn, mode):
-    """W(r; E_frozen) with the constant -eps^2 term removed, so that
-    -R'' + W R = (E^2 - M^2) R reproduces the radial equation."""
-    eps2 = mp.mass * mp.mass - E * E
-    return -(effective_ode_coefficient(r, E, pp, mp, qn, mode) + eps2)
+    out = E * E - m * m - _potential(r, E, pp, mp, qn, mode)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _tridiag(E, pp, mp, qn, grid: RadialGrid, mode):
     r = grid.nodes()[1:-1]
     h = grid.spacing
-    diag = 2.0 / h**2 + _frozen_potential(r, E, pp, mp, qn, mode)
+    diag = 2.0 / h**2 + _potential(r, E, pp, mp, qn, mode)
     e2 = 1.0 / h**4  # square of the constant off-diagonal -1/h^2
     return diag, e2
 
@@ -189,7 +187,7 @@ def _closure(E, pp, mp, qn, grid, mode, k):
     return k + 0.5 - _sturm_count(diag, e2, E * E - mp.mass * mp.mass)
 
 
-def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol):
+def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
     m = mp.mass
 
     def g(E: float) -> float:
@@ -213,7 +211,7 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol):
             f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
         )
     b_lo, b_hi = brackets[0]
-    root, _ = bisect(g, b_lo, b_hi, tol)
+    root, _ = bisect(g, b_lo, b_hi, _TOL)
     return root
 
 
@@ -226,14 +224,13 @@ def oracle_energy(
     eigen_index: Optional[int] = None,
     bracket: Optional[tuple[float, float]] = None,
     scan_points: int = 101,
-    tol: float = 1e-12,
 ) -> OracleResult:
     """Self-consistent bound-state energy from the frozen-E eigenproblem.
 
     Bisects the sign of g(E) = lambda_k(E) - (E^2 - M^2) on the given
     bracket (or on a coarse scan of (-M, M) when none is given) and
     Richardson-extrapolates against the doubled grid, whose root is
-    sought only in a narrow bracket (at least +-1e-4) around the coarse
+    sought only in a narrow bracket (+-1e-4) around the coarse
     one.  eigen_index defaults to n - 1, pairing the node ordering with
     the radial label; when the pairing (or the bracket) is wrong, or the
     doubled grid has no root next to the coarse one, this raises
@@ -241,12 +238,11 @@ def oracle_energy(
     different roots.
     """
     k = qn.n - 1 if eigen_index is None else eigen_index
-    root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points, tol)
+    root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points)
 
     fine = grid.doubled()
-    half = max(5.0 * abs(tol) * max(1.0, abs(root)), 1e-4)
-    fine_bracket = (root - half, root + half)
-    root_fine = _closure_root(pp, mp, qn, fine, mode, k, fine_bracket, 21, tol)
+    fine_bracket = (root - _FINE_HALF_WIDTH, root + _FINE_HALF_WIDTH)
+    root_fine = _closure_root(pp, mp, qn, fine, mode, k, fine_bracket, 21)
     rho = (fine.points - 1) / (grid.points - 1)  # spacing ratio h/h_fine
     richardson = (root_fine * rho**2 - root) / (rho**2 - 1.0)
     return OracleResult(energy=root, eigen_index=k, grid=grid, richardson_estimate=richardson)
@@ -257,7 +253,7 @@ class OracleComparison:
     """Outcome of cross-checking one quantization-equation energy against
     the eigensolver.
 
-    status "validated" means a closure root exists in the +-half_width
+    status "validated" means a closure root exists in the +-5e-3
     bracket around the solver energy; "no_root_in_bracket" is the labeled
     discrepancy case, with the nearest full-range closure root (same
     eigen_index) reported when one exists.
@@ -281,12 +277,11 @@ def cross_validate(
     qn: QuantumNumbers,
     mode: str = "approximated",
     points: int = 16000,
-    half_width: float = 5e-3,
     eigen_index: Optional[int] = None,
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
-    Tries the bracket [E_solver - half_width, E_solver + half_width]
+    Tries the bracket [E_solver - 5e-3, E_solver + 5e-3]
     first; on failure scans the whole of (-M, M) for the nearest closure
     root at the same eigen_index and reports the mismatch explicitly.
     """
@@ -297,7 +292,7 @@ def cross_validate(
     try:
         res = oracle_energy(
             pp, mp, qn, grid, mode, eigen_index=k,
-            bracket=(e_solver - half_width, e_solver + half_width), scan_points=11,
+            bracket=(e_solver - _HALF_WIDTH, e_solver + _HALF_WIDTH), scan_points=11,
         )
         return OracleComparison(
             qn=qn, mode=mode, e_solver=e_solver, status="validated", eigen_index=k,

@@ -9,6 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# bisect returns after this many halvings even if the bracket is wider than tol
+_MAX_ITER = 200
+
 
 def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float]]:
     """Intervals (xs[i], xs[i+1]) where fs changes sign (non-finite values break runs)."""
@@ -33,7 +36,6 @@ def bisect(
     lo: float,
     hi: float,
     tol: float,
-    max_iter: int = 200,
 ) -> tuple[float, int]:
     """Root of f in [lo, hi] by bisection; f(lo), f(hi) must differ in sign.
 
@@ -51,7 +53,7 @@ def bisect(
     if flo * fhi > 0.0:
         raise ValueError(f"root not bracketed on [{lo}, {hi}]")
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > tol and it < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval at floating-point resolution

@@ -232,6 +232,8 @@ DEFAULT_WF_TAIL = 30.0
 # Tail samples with R^2 below this fraction of the peak are excluded
 # from the normalization quadrature.
 _NORM_CUTOFF = 1e-16
+# count_nodes ignores samples below this fraction of max|R|.
+_NODE_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,9 @@ def radial_wavefunction(
     )
 
 
-def count_nodes(wf: RadialWavefunction, threshold: float = 1e-9) -> int:
-    """Interior sign changes of R, ignoring samples below threshold*max|R|."""
+def count_nodes(wf: RadialWavefunction) -> int:
+    """Interior sign changes of R, ignoring samples below 1e-9 * max|R|."""
     v = wf.values
-    significant = v[np.abs(v) > threshold * np.max(np.abs(v))]
+    significant = v[np.abs(v) > _NODE_THRESHOLD * np.max(np.abs(v))]
     signs = np.sign(significant)
     return int(np.sum(signs[:-1] != signs[1:]))

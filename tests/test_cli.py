@@ -239,3 +239,41 @@ def test_oracle_command_labels_branch_mismatch(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["status"] == "no_root_in_bracket"
     assert rows[0]["nearest_root"] != ""
+
+
+COMMANDS = ("solve", "table", "degeneracy", "wavefunction", "potential", "oracle", "limits")
+
+
+@pytest.mark.parametrize("missing", ["--v0", "--a"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_v0_and_a_are_required(capsys, command, missing):
+    flags = {"--v0": "0.2", "--s0": "0.1", "--a": "0.05"}
+    del flags[missing]
+    code, out, err = run(capsys, [command, *(tok for kv in flags.items() for tok in kv)])
+    assert code == 1
+    assert out == ""
+    assert missing in err
+
+
+@pytest.mark.parametrize("flag, spec", [("--n-range", "3:1"), ("--dim-range", "x")])
+@pytest.mark.parametrize("command", ["table", "degeneracy"])
+def test_bad_range_is_input_error(capsys, command, flag, spec):
+    code, out, err = run(capsys, [command, *BASE, flag, spec])
+    assert code == 1
+    assert out == ""
+    assert "cannot parse range" in err
+
+
+def test_degeneracy_json_carries_the_csv_rows(capsys):
+    argv = ["degeneracy", "--v0", "0.2", "--s0", "0.2", "--a", "0.05",
+            "--n-range", "1:2", "--l-range", "0:1", "--dim-range", "3:5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"rows", "max_delta"}
+    assert len(csv_rows[0]) == 9
+    assert [{k: str(v) for k, v in row.items()} for row in payload["rows"]] == csv_rows
+    assert payload["max_delta"] == pytest.approx(max(float(r["delta"]) for r in csv_rows), rel=1e-8)
