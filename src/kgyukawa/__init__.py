@@ -6,7 +6,6 @@ finite-difference eigensolver."""
 from .errors import (
     ComplexChannel,
     ConstraintViolation,
-    ConvergenceFailure,
     DomainError,
     KgYukawaError,
     NegativeDiscriminant,
@@ -29,7 +28,6 @@ from .nu import (
     WavefunctionExponents,
     derive_coefficients,
     energy_relation_residual,
-    laguerre_limit_check,
     wavefunction_exponents,
 )
 from .oracle import (
@@ -58,6 +56,6 @@ from .solver import (
     solve_energy,
     solve_table,
 )
-from .special import jacobi_eval, laguerre_eval
+from .special import jacobi_eval
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ import click
 from .errors import (
     ComplexChannel,
     ConstraintViolation,
-    ConvergenceFailure,
     DomainError,
     KgYukawaError,
     NegativeDiscriminant,
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     except (NoRootInBracket, ComplexChannel, OutOfDomain, NegativeDiscriminant) as exc:
         click.echo(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (NonFinite, ConvergenceFailure, NormalizationFailure, ConstraintViolation) as exc:
+    except (NonFinite, NormalizationFailure, ConstraintViolation) as exc:
         click.echo(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except KgYukawaError as exc:

@@ -32,10 +32,6 @@ class NoRootInBracket(KgYukawaError):
     """No sign change of the residual was found: no bound state here."""
 
 
-class ConvergenceFailure(KgYukawaError):
-    """An iterative eigenvalue or root refinement failed to converge."""
-
-
 class NonFinite(KgYukawaError):
     """A numeric evaluation overflowed or produced a non-finite value."""
 

@@ -63,9 +63,6 @@ class ConvergenceReport:
     qn: QuantumNumbers
     rows: tuple[ConvergenceRow, ...]
 
-    def gaps(self) -> list[float]:
-        return [row.gap for row in self.rows]
-
 
 def nonrel_limit_of_relativistic(
     pp: PotentialParams,

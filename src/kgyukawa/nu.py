@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintViolation, DomainError, NegativeDiscriminant, NonFinite
-from .special import jacobi_eval, laguerre_eval
+from .errors import ConstraintViolation, DomainError, NegativeDiscriminant
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,13 @@ class NuCoefficients:
 
 @dataclass(frozen=True)
 class WavefunctionExponents:
-    """Exponent/parameter bundle for rho(s) = s^a (1-c3 s)^b, phi(s) = s^c (1-c3 s)^d.
+    """Exponents of phi(s) = s^c12 (1-c3 s)^c13 and the Jacobi parameters
+    (c10, c11), which are also the exponents of the weight function.
 
     ``c12_substituted`` records that the raw c12 was non-positive (the
     growing solution) and the decaying partner exponent was used instead.
     """
 
-    rho: tuple[float, float]
     phi: tuple[float, float]
     jacobi: tuple[float, float]
     c12_substituted: bool = False
@@ -152,31 +151,7 @@ def wavefunction_exponents(coeffs: NuCoefficients) -> WavefunctionExponents:
     if not (coeffs.c13 > 0.0):
         raise ConstraintViolation("c13", coeffs.c13)
     return WavefunctionExponents(
-        rho=(coeffs.c10, coeffs.c11),
         phi=(c12, coeffs.c13),
         jacobi=(coeffs.c10, coeffs.c11),
         c12_substituted=substituted,
     )
-
-
-def laguerre_limit_check(
-    c10: float, c13scale: float, n: int, s: float
-) -> tuple[float, float]:
-    """Numerically probe the c3 -> 0 degeneration of the Jacobi solution.
-
-    With the second Jacobi parameter scaled as c13scale/c3, the values
-    P_n^(c10, c13scale/c3)(1 - 2*c3*s) approach the generalized Laguerre
-    value L_n^(c10)(c13scale*s).  Sweeps c3 = 1e-1 .. 1e-6 and returns
-    the (jacobi, laguerre) pair at the smallest c3.  Property check of
-    the engine only; the screened-Coulomb mapping always has c3 = 1.
-    """
-    if n > 6:
-        raise DomainError(f"limit check supports n <= 6, got {n}")
-    lag = laguerre_eval(n, c10, c13scale * s)
-    jac = math.nan
-    for k in range(1, 7):
-        c3 = 10.0 ** (-k)
-        jac = jacobi_eval(n, c10, c13scale / c3, 1.0 - 2.0 * c3 * s)
-    if not (math.isfinite(jac) and math.isfinite(lag)):
-        raise NonFinite("limit evaluation overflowed")
-    return jac, lag

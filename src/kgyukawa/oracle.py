@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComplexChannel, ConvergenceFailure, DomainError, NoRootInBracket
+from .errors import ComplexChannel, DomainError, NoRootInBracket
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import approx_yukawa, centrifugal_approx, yukawa
 from .rootfind import bisect, sign_change_brackets
@@ -167,17 +167,8 @@ def eigenvalue_k(
     e_abs = math.sqrt(e2)
     lo = float(np.min(diag)) - 2.0 * e_abs
     hi = float(np.max(diag)) + 2.0 * e_abs
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if _sturm_count(diag, e2, mid) > k:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"eigenvalue bisection failed to collapse [{lo}, {hi}]")
+    root, _ = bisect(lambda x: _sturm_count(diag, e2, x) - k - 0.5, lo, hi, 1e-14)
+    return root
 
 
 def _closure(E, pp, mp, qn, grid, mode, k):

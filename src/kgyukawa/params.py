@@ -30,12 +30,6 @@ class PotentialParams:
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise DomainError(f"screening parameter a must be > 0, got {self.a}")
 
-    def beta(self) -> float:
-        """Scalar-to-vector mixing ratio s0/v0; undefined at v0 = 0."""
-        if self.v0 == 0.0:
-            raise DomainError("beta is undefined for v0 = 0")
-        return self.s0 / self.v0
-
     @classmethod
     def from_beta(cls, v0: float, beta: float, a: float) -> "PotentialParams":
         return cls(v0=v0, s0=beta * v0, a=a)

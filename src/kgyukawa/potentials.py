@@ -72,5 +72,8 @@ def profile(strength: float, a: float, r_min: float, r_max: float, points: int) 
     exact = yukawa(r, strength, a)
     approx = approx_yukawa(r, strength, a)
     abs_err = np.abs(approx - exact)
-    rel_err = np.where(np.abs(exact) > _REL_ERR_FLOOR, abs_err / np.abs(exact), np.nan)
+    magnitude = np.abs(exact)
+    rel_err = np.divide(
+        abs_err, magnitude, out=np.full_like(abs_err, np.nan), where=magnitude > _REL_ERR_FLOOR
+    )
     return PotentialProfile(r=r, exact=exact, approx=approx, abs_err=abs_err, rel_err=rel_err)

@@ -1,4 +1,4 @@
-"""Jacobi and generalized-Laguerre polynomials via three-term recurrences."""
+"""Jacobi polynomials via the three-term recurrence."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,27 +38,4 @@ def jacobi_eval(n: int, alpha: float, beta: float, x):
         out = p
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"Jacobi recurrence overflowed at n={n}, alpha={alpha}, beta={beta}")
-    return float(out) if scalar else out
-
-
-def laguerre_eval(n: int, alpha: float, x):
-    """Evaluate the generalized Laguerre polynomial L_n^(alpha)(x) by recurrence."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"polynomial degree must be a nonnegative integer, got {n}")
-    if n > MAX_DEGREE:
-        raise DomainError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-
-    l_prev = np.ones_like(x)
-    if n == 0:
-        out = l_prev
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            l = 1 + alpha - x
-            for k in range(2, n + 1):
-                l_prev, l = l, ((2 * k - 1 + alpha - x) * l - (k - 1 + alpha) * l_prev) / k
-        out = l
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(f"Laguerre recurrence overflowed at n={n}, alpha={alpha}")
     return float(out) if scalar else out

@@ -277,3 +277,24 @@ def test_degeneracy_json_carries_the_csv_rows(capsys):
     assert len(csv_rows[0]) == 9
     assert [{k: str(v) for k, v in row.items()} for row in payload["rows"]] == csv_rows
     assert payload["max_delta"] == pytest.approx(max(float(r["delta"]) for r in csv_rows), rel=1e-8)
+
+
+ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richardson",
+                 "delta", "nearest_root", "nearest_delta"]
+
+
+@pytest.mark.parametrize("argv, code, check", [
+    (["oracle", *BASE, "--points", "2000", "--format", "json"], 2,
+     lambda out, err: [list(row) for row in json.loads(out)] == [ORACLE_HEADER]),
+    (["degeneracy", *BASE, "--n-range", "1", "--l-range", "0", "--dim-range", "3:4",
+      "--max-delta", "-1"], 2,
+     lambda out, err: "degeneracy violated" in err),
+    (["limits", "--v0", "0.1", "--s0", "0.1", "--a", "0.002", "--a-sequence", "0.1,x"], 1,
+     lambda out, err: out == "" and "cannot parse --a-sequence" in err),
+    (["table", *BASE, "--n-range", "0:1", "--l-range", "0", "--dim-range", "3"], 0,
+     lambda out, err: "3,0,0,,,error" in out.splitlines()),
+], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row"])
+def test_rarely_taken_paths(capsys, argv, code, check):
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert check(out, err)

@@ -104,4 +104,3 @@ def test_report_covers_sequence():
     pp = PotentialParams(v0=0.02, s0=0.02, a=0.002)
     report = nonrel_limit_of_relativistic(pp, MP, GROUND, [0.002, 0.001])
     assert [row.a for row in report.rows] == [0.002, 0.001]
-    assert len(report.gaps()) == 2

@@ -1,5 +1,5 @@
-"""Canonical-form engine: coefficient identities, quantization residual,
-wavefunction constraints, and the c3 -> 0 degeneration."""
+"""Canonical-form engine: coefficient identities, quantization residual
+and wavefunction constraints."""
 import math
 
 import pytest
@@ -13,8 +13,6 @@ from kgyukawa import (
     NuProblem,
     derive_coefficients,
     energy_relation_residual,
-    laguerre_limit_check,
-    laguerre_eval,
     wavefunction_exponents,
 )
 
@@ -198,33 +196,3 @@ def test_zero_c3_marks_undefined_entries():
     assert math.isnan(coeffs.c13)
     with pytest.raises(ConstraintViolation):
         wavefunction_exponents(coeffs)
-
-
-def test_laguerre_limit_degree_zero():
-    jac, lag = laguerre_limit_check(1.5, 2.0, 0, 0.7)
-    assert jac == 1.0
-    assert lag == 1.0
-
-
-def test_laguerre_limit_degree_two():
-    jac, lag = laguerre_limit_check(1.5, 2.0, 2, 0.7)
-    assert lag == pytest.approx(laguerre_eval(2, 1.5, 1.4), rel=1e-14)
-    assert jac == pytest.approx(lag, rel=1e-3)
-
-
-def test_laguerre_limit_rejects_large_degree():
-    with pytest.raises(DomainError):
-        laguerre_limit_check(1.0, 1.0, 7, 0.5)
-
-
-def test_exponential_limit_of_second_factor():
-    # (1 - c3*s)^(k/c3) -> exp(-k*s) as c3 -> 0
-    k, s = 1.7, 0.7
-    prev_err = None
-    for c3 in (1e-2, 1e-4, 1e-6):
-        value = (1 - c3 * s) ** (k / c3)
-        err = abs(value - math.exp(-k * s)) / math.exp(-k * s)
-        if prev_err is not None:
-            assert err < prev_err
-        prev_err = err
-    assert prev_err < 1e-4

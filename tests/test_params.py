@@ -23,9 +23,6 @@ def test_potential_validation():
 def test_beta_roundtrip():
     pp = PotentialParams.from_beta(v0=0.2, beta=0.5, a=0.05)
     assert pp.s0 == pytest.approx(0.1)
-    assert pp.beta() == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        PotentialParams(v0=0.0, s0=0.1, a=0.05).beta()
 
 
 def test_particle_validation():

@@ -1,5 +1,6 @@
 """Yukawa potential, exponential approximants, and their error bounds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_profile_two_points():
 def test_profile_small_ar_error_bound():
     prof = profile(FIG_V0, FIG_A, 1e-3, 0.1 / FIG_A, 10000)
     assert np.nanmax(prof.rel_err) < 0.05
+
+
+def test_profile_underflow_is_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = profile(1.0, 1.0, 0.1, 900.0, 30)
+    tiny = np.abs(prof.exact) <= 1e-300
+    assert tiny.any() and not tiny.all()
+    assert np.array_equal(np.isnan(prof.rel_err), tiny)
 
 
 def test_profile_validation():
