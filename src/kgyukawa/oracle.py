@@ -10,6 +10,15 @@ eigenvalues lie below x), so the closure root is a single bisection
 over E.  :func:`eigenvalue_k` still extracts single eigenvalues by
 Sturm-count bisection.
 
+The Sturm count is the LDL^T pivot recurrence q_i = (d_i - x) - e2/q_{i-1}
+(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), run on Python
+floats because numpy scalars make each step several times slower.  It
+stops early in the classically forbidden tail: once every later row has
+d_i - x >= 2 sqrt(e2) and the pivot has reached q >= sqrt(e2), each later
+pivot is at least 2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row
+adds to the count.  The E-independent part of W(r; E) is built once per
+grid and mode, and only the term linear in E is formed per evaluation.
+
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -37,14 +47,35 @@ _HALF_WIDTH = 5e-3
 
 def _sturm_count(diag, e2: float, x: float) -> int:
     """Number of eigenvalues below x of the symmetric tridiagonal matrix
-    with diagonal diag and squared off-diagonal e2."""
-    pivots = diag.tolist()  # Python floats: the loop runs several times faster
-    q = pivots[0] - x
+    with diagonal diag and squared off-diagonal e2.
+
+    The pivots run on Python floats (``tolist``); x is often a numpy
+    scalar, which would make every pivot one too.  Past the last row with
+    d_i - x < 2 sqrt(e2), a pivot q >= sqrt(e2) bounds every later pivot
+    below by sqrt(e2) > 0, so the loop stops there with the exact count.
+    In floating point the bound sags by a few ulps per row, relative to
+    sqrt(e2), so it stays positive for any feasible number of rows.
+    """
+    shifted = diag - x
+    root = math.sqrt(e2)
+    allowed = np.flatnonzero(shifted < 2.0 * root)
+    # first row of the forbidden tail; row 0 is never checked
+    tail = int(allowed[-1]) + 1 if allowed.size else 1
+    rows = iter(shifted.tolist())
+    q = next(rows)
     count = int(q < 0.0)
-    for d in pivots[1:]:
+    for s in islice(rows, tail - 1):
         if q == 0.0:
             q = 1e-300
-        q = d - x - e2 / q
+        q = s - e2 / q
+        if q < 0.0:
+            count += 1
+    for s in rows:
+        if q >= root:
+            break
+        if q == 0.0:
+            q = 1e-300
+        q = s - e2 / q
         if q < 0.0:
             count += 1
     return count
@@ -97,12 +128,13 @@ def default_oracle_grid(epsilon_estimate: float, points: int = 16000) -> RadialG
     return RadialGrid(r_min=1e-4, r_max=max(400.0, 40.0 / epsilon_estimate), points=points)
 
 
-def _potential(r, E, pp, mp, qn, mode):
-    """W(r; E) in -R'' + W R = (E^2 - M^2) R: the Yukawa couplings
-    V = v0*u and S = s0*u at the frozen energy, from (E - V)^2 - (M + S)^2,
-    plus the centrifugal term.  Mode "exact" takes the bare u = -exp(-ar)/r
-    and 1/r^2; mode "approximated" takes their exponential-rational
-    approximants, i.e. the equation the quantization path solves."""
+def _potential(r, pp, mp, qn, mode):
+    """W(r; E) in -R'' + W R = (E^2 - M^2) R, as a function of E: the
+    Yukawa couplings V = v0*u and S = s0*u at the frozen energy, from
+    (E - V)^2 - (M + S)^2, plus the centrifugal term.  Mode "exact" takes
+    the bare u = -exp(-ar)/r and 1/r^2; mode "approximated" takes their
+    exponential-rational approximants, i.e. the equation the quantization
+    path solves.  The E-independent terms are built once, here."""
     if mode == "exact":
         u = yukawa(r, 1.0, pp.a)
         centrifugal = 1.0 / np.asarray(r, dtype=float) ** 2
@@ -111,11 +143,13 @@ def _potential(r, E, pp, mp, qn, mode):
         centrifugal = centrifugal_approx(r, pp.a)
     else:
         raise DomainError(f"mode must be 'exact' or 'approximated', got {mode!r}")
-    return (
-        2.0 * (E * pp.v0 + mp.mass * pp.s0) * u
-        + (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
-        + qn.centrifugal_constant() * centrifugal
-    )
+    quadratic = (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
+    centrifugal = qn.centrifugal_constant() * centrifugal
+
+    def w(E):
+        return 2.0 * (E * pp.v0 + mp.mass * pp.s0) * u + quadratic + centrifugal
+
+    return w
 
 
 def effective_ode_coefficient(
@@ -136,16 +170,20 @@ def effective_ode_coefficient(
     m = mp.mass
     if not (-m < E < m):
         raise DomainError(f"E must lie in (-M, M), got {E}")
-    out = E * E - m * m - _potential(r, E, pp, mp, qn, mode)
+    out = E * E - m * m - _potential(r, pp, mp, qn, mode)(E)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _tridiag(E, pp, mp, qn, grid: RadialGrid, mode):
-    r = grid.nodes()[1:-1]
+def _tridiag(pp, mp, qn, grid: RadialGrid, mode):
+    """Diagonal of the finite-difference matrix as a function of the frozen
+    energy, and the square of the constant off-diagonal -1/h^2."""
     h = grid.spacing
-    diag = 2.0 / h**2 + _potential(r, E, pp, mp, qn, mode)
-    e2 = 1.0 / h**4  # square of the constant off-diagonal -1/h^2
-    return diag, e2
+    w = _potential(grid.nodes()[1:-1], pp, mp, qn, mode)
+
+    def diag(E):
+        return 2.0 / h**2 + w(E)
+
+    return diag, 1.0 / h**4
 
 
 def eigenvalue_k(
@@ -161,7 +199,8 @@ def eigenvalue_k(
     Dirichlet conditions at both grid ends, by Sturm-count bisection."""
     if k < 0:
         raise DomainError(f"eigenvalue index must be >= 0, got {k}")
-    diag, e2 = _tridiag(E_frozen, pp, mp, qn, grid, mode)
+    diag_of, e2 = _tridiag(pp, mp, qn, grid, mode)
+    diag = diag_of(E_frozen)
     if k >= diag.shape[0]:
         raise DomainError(f"index {k} out of range for {diag.shape[0]} interior nodes")
     e_abs = math.sqrt(e2)
@@ -171,19 +210,20 @@ def eigenvalue_k(
     return root
 
 
-def _closure(E, pp, mp, qn, grid, mode, k):
-    """k + 1/2 minus the count of eigenvalues below E^2 - M^2: never zero,
-    with the sign of g(E) = lambda_k(E) - (E^2 - M^2)."""
-    diag, e2 = _tridiag(E, pp, mp, qn, grid, mode)
-    return k + 0.5 - _sturm_count(diag, e2, E * E - mp.mass * mp.mass)
+def _closure(pp, mp, qn, grid, mode, k):
+    """g(E): k + 1/2 minus the count of eigenvalues below E^2 - M^2; never
+    zero, with the sign of lambda_k(E) - (E^2 - M^2)."""
+    diag, e2 = _tridiag(pp, mp, qn, grid, mode)
+    m = mp.mass
+
+    def g(E: float) -> float:
+        return k + 0.5 - _sturm_count(diag(E), e2, E * E - m * m)
+
+    return g
 
 
 def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
     m = mp.mass
-
-    def g(E: float) -> float:
-        return _closure(E, pp, mp, qn, grid, mode, k)
-
     if bracket is None:
         lo, hi = -m * (1.0 - 1e-6), m * (1.0 - 1e-6)
     else:
@@ -193,6 +233,7 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
         hi = min(bracket[1], m * (1.0 - 1e-9))
         if not (lo < hi):
             raise DomainError(f"bracket {bracket} does not intersect (-M, M)")
+    g = _closure(pp, mp, qn, grid, mode, k)
     Es = np.linspace(lo, hi, scan_points)
     gs = np.array([g(E) for E in Es])
     brackets = sign_change_brackets(Es, gs)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgyukawa import (
     DomainError,
@@ -18,7 +20,7 @@ from kgyukawa import (
     oracle_energy,
     solve_energy,
 )
-from kgyukawa.oracle import _closure
+from kgyukawa.oracle import _closure, _sturm_count
 
 MP = ParticleParams(mass=1.0)
 # zero-coupling parameters make the s-wave d=3 problem a particle in a box
@@ -121,6 +123,92 @@ def test_eigenvalue_index_guards():
 
 
 # --------------------------------------------------------------------------
+# Sturm count: the early exit in the forbidden tail changes no count
+# --------------------------------------------------------------------------
+
+
+def reference_sturm_count(diag, e2, x):
+    """The full-length pivot loop on Python floats, with no early exit."""
+    x = float(x)
+    pivots = diag.tolist()
+    q = pivots[0] - x
+    count = int(q < 0.0)
+    for d in pivots[1:]:
+        if q == 0.0:
+            q = 1e-300
+        q = d - x - e2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def dense_eigenvalues(diag, e2):
+    off = np.full(len(diag) - 1, -math.sqrt(e2))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+@st.composite
+def allowed_then_forbidden(draw):
+    """(diag, e2, x): rows with d_i < 2 sqrt(e2) followed by a tail with
+    d_i >= 2 sqrt(e2), the shape of the oracle's matrices near x = 0, and a
+    shift either anywhere on the spectrum or within a few ulps of an
+    eigenvalue."""
+    e2 = draw(st.floats(1e-2, 1e4))
+    root = math.sqrt(e2)
+    allowed = draw(st.lists(st.floats(-3.0, 2.0, exclude_max=True), max_size=30))
+    tail = draw(st.lists(st.floats(2.0, 4.0), min_size=0 if allowed else 1, max_size=30))
+    diag = root * np.array(allowed + tail)
+    if draw(st.booleans()):
+        x = root * draw(st.floats(-4.0, 6.0))
+    else:
+        eigs = dense_eigenvalues(diag, e2)
+        lam = eigs[draw(st.integers(0, len(eigs) - 1))]
+        x = lam + draw(st.integers(-4, 4)) * np.spacing(lam)
+    return diag, e2, x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=allowed_then_forbidden())
+def test_sturm_count_early_exit_matches_full_loop(case):
+    diag, e2, x = case
+    assert _sturm_count(diag, e2, x) == reference_sturm_count(diag, e2, x)
+
+
+@pytest.mark.parametrize("diag, x, want", [
+    # q_1 = 1 - 1/1 is exactly 0.0 on the last allowed row
+    ([1.0, 1.0, 3.0, 3.0, 3.0], 0.0, 1),
+    # no forbidden row
+    ([0.5, -1.0, 1.5, 0.0, 1.9, -0.3], 0.0, 3),
+    # every row forbidden
+    ([2.0, 3.0, 2.5, 4.0, 2.0], 0.0, 0),
+])
+def test_sturm_count_edge_cases(diag, x, want):
+    diag = np.array(diag)
+    assert reference_sturm_count(diag, 1.0, x) == want
+    assert _sturm_count(diag, 1.0, x) == want
+    assert want == int(np.sum(dense_eigenvalues(diag, 1.0) < x))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_oracle_energy_unchanged_by_the_early_exit(monkeypatch, beta):
+    # the perfbench oracle states: repr-identical energies with the
+    # full-length reference loop patched in
+    pp = PotentialParams.from_beta(v0=0.2, beta=beta, a=0.05)
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    ref = solve_energy(pp, MP, qn, branch="decaying").energy
+
+    def run(mode):
+        res = oracle_energy(pp, MP, qn, oracle_grid(2000), mode, eigen_index=1,
+                            bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
+        return res.energy, res.richardson_estimate
+
+    modes = ("approximated", "exact")
+    fast = [run(mode) for mode in modes]
+    monkeypatch.setattr("kgyukawa.oracle._sturm_count", reference_sturm_count)
+    assert [run(mode) for mode in modes] == fast
+
+
+# --------------------------------------------------------------------------
 # closure on the physical (decaying-wavefunction) branch
 # --------------------------------------------------------------------------
 
@@ -180,7 +268,7 @@ def test_closure_sign_matches_eigenvalue(pp_plus, mode):
     for k in (0, 1, 2):
         # dense towards +M, where the closure roots of these states lie
         for E in np.tanh(np.linspace(-2.0, 6.0, 20)):
-            g = _closure(E, pp_plus, MP, qn, grid, mode, k)
+            g = _closure(pp_plus, MP, qn, grid, mode, k)(E)
             lam = eigenvalue_k(E, pp_plus, MP, qn, grid, mode, k)
             assert g != 0.0
             assert (g > 0.0) == (lam - (E * E - MP.mass**2) > 0.0), (k, E)
