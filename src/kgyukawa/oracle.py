@@ -206,7 +206,8 @@ def eigenvalue_k(
     e_abs = math.sqrt(e2)
     lo = float(np.min(diag)) - 2.0 * e_abs
     hi = float(np.max(diag)) + 2.0 * e_abs
-    root, _ = bisect(lambda x: _sturm_count(diag, e2, x) - k - 0.5, lo, hi, 1e-14)
+    # no eigenvalue lies below the Gershgorin bound lo, so the count there is 0
+    root, _ = bisect(lambda x: _sturm_count(diag, e2, x) - k - 0.5, lo, hi, -k - 0.5, 1e-14)
     return root
 
 
@@ -242,8 +243,7 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
             f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
             f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
         )
-    b_lo, b_hi = brackets[0]
-    root, _ = bisect(g, b_lo, b_hi, _TOL)
+    root, _ = bisect(g, *brackets[0], _TOL)
     return root
 
 
@@ -309,15 +309,15 @@ def cross_validate(
     qn: QuantumNumbers,
     mode: str = "approximated",
     points: int = 16000,
-    eigen_index: Optional[int] = None,
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
     Tries the bracket [E_solver - 5e-3, E_solver + 5e-3]
     first; on failure scans the whole of (-M, M) for the nearest closure
-    root at the same eigen_index and reports the mismatch explicitly.
+    root at the same eigen_index, n - 1, and reports the mismatch
+    explicitly.
     """
-    k = qn.n - 1 if eigen_index is None else eigen_index
+    k = qn.n - 1
     e_solver = solve_energy(pp, mp, qn).energy
     eps_est = math.sqrt(mp.mass**2 - e_solver**2)
     grid = default_oracle_grid(eps_est, points=points)

@@ -1,6 +1,7 @@
 """Yukawa potential, its exponential approximants, and approximation quality."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class PotentialProfile:
 
 def profile(strength: float, a: float, r_min: float, r_max: float, points: int) -> PotentialProfile:
     """Sample exact and approximate potentials on a uniform grid for export."""
+    if not math.isfinite(strength):
+        raise DomainError(f"strength must be finite, got {strength}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"screening parameter a must be > 0, got {a}")
     if not (0.0 < r_min < r_max):
         raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     if points < 2:

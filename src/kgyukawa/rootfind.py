@@ -1,7 +1,9 @@
 """Bracketing and bisection helpers shared by the solvers.
 
 Bisection is used throughout because the residuals carry square-root
-kinks; inside a bracket it converges unconditionally.
+kinks; inside a bracket it converges unconditionally.  The scan hands
+each bracket over with its left-end value, so bisection evaluates f only
+at midpoints.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ import numpy as np
 _MAX_ITER = 200
 
 
-def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float]]:
-    """Intervals (xs[i], xs[i+1]) where fs changes sign (non-finite values break runs)."""
+def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float, float]]:
+    """Intervals (xs[i], xs[i+1], fs[i]) where fs changes sign, an exact zero
+    at xs[i] as (xs[i], xs[i], 0.0); non-finite values break runs.  Signs
+    are compared, not multiplied: a product can underflow or overflow."""
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     out = []
@@ -23,11 +27,11 @@ def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple
         if not (np.isfinite(a) and np.isfinite(b)):
             continue
         if a == 0.0:
-            out.append((xs[i], xs[i]))
-        elif a * b < 0.0:
-            out.append((xs[i], xs[i + 1]))
+            out.append((xs[i], xs[i], 0.0))
+        elif a < 0.0 < b or b < 0.0 < a:
+            out.append((xs[i], xs[i + 1], a))
     if len(fs) and np.isfinite(fs[-1]) and fs[-1] == 0.0:
-        out.append((xs[-1], xs[-1]))
+        out.append((xs[-1], xs[-1], 0.0))
     return out
 
 
@@ -35,23 +39,15 @@ def bisect(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    f_lo: float,
     tol: float,
 ) -> tuple[float, int]:
-    """Root of f in [lo, hi] by bisection; f(lo), f(hi) must differ in sign.
-
-    Returns (root, iterations).  Degenerate brackets (lo == hi, an exact
-    grid hit) return immediately.
-    """
+    """Root of f in [lo, hi] by bisection, given f_lo = f(lo) and f(hi) of
+    the opposite sign; f is evaluated only at midpoints.  Returns (root,
+    iterations); a degenerate bracket (lo == hi, an exact grid hit)
+    returns at once."""
     if lo == hi:
         return lo, 0
-    flo = f(lo)
-    if flo == 0.0:
-        return lo, 0
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi, 0
-    if flo * fhi > 0.0:
-        raise ValueError(f"root not bracketed on [{lo}, {hi}]")
     it = 0
     while hi - lo > tol and it < _MAX_ITER:
         mid = 0.5 * (lo + hi)
@@ -61,8 +57,8 @@ def bisect(
         it += 1
         if fm == 0.0:
             return mid, it
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if (fm > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi), it

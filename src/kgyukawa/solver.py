@@ -108,11 +108,19 @@ def energy_equation_residual(
     with -eps/a on the "published" branch (the paper's tables; its
     solutions grow like exp(+eps*r) at infinity) and +eps/a on the
     "decaying" one.  Continuous in E on (-M, M); a bound state of the
-    branch makes it zero.  Accepts a scalar or ndarray E.
+    branch makes it zero.  Accepts a scalar or ndarray E.  Raises
+    :class:`DomainError` when a is so small that the terms overflow.
     """
     sign = _eps_sign(branch)
     lam = math.sqrt(channel_constant(pp, qn))
     m, a = mp.mass, pp.a
+    # every base squared below is at most `bound` in size, so the residual
+    # is at most 2 bound^2; Python float products give inf, never raise
+    bound = 2 * qn.n + 1 + lam + m / a + 2 * (abs(pp.v0) + abs(pp.s0))
+    if not math.isfinite(2.0 * bound * bound):
+        raise DomainError(
+            f"screening parameter a = {a} is too small: the quantization residual overflows"
+        )
     E = np.asarray(E, dtype=float)
     if np.any(np.abs(E) >= m):
         raise DomainError("E must lie strictly inside (-M, M)")
@@ -152,8 +160,8 @@ def solve_energy(
         return energy_equation_residual(E, pp, mp, qn, branch)
 
     # brackets are disjoint and ascending, so their roots are too
-    lo, hi = brackets[0] if branch == "published" else brackets[-1]
-    root, iters = bisect(f, lo, hi, TOLERANCE)
+    lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
+    root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
     return EnergySolution(
         energy=root,
         epsilon=math.sqrt(m * m - root * root),
@@ -264,6 +272,8 @@ def default_radial_grid(epsilon: float, points: int = DEFAULT_WF_POINTS) -> np.n
     origin behavior and the exponential tail."""
     if not (epsilon > 0.0):
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
+    if points < 2:
+        raise DomainError(f"points must be >= 2, got {points}")
     return np.geomspace(DEFAULT_WF_RMIN, DEFAULT_WF_TAIL / epsilon, points)
 
 

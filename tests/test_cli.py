@@ -293,7 +293,28 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
      lambda out, err: out == "" and "cannot parse --a-sequence" in err),
     (["table", *BASE, "--n-range", "0:1", "--l-range", "0", "--dim-range", "3"], 0,
      lambda out, err: "3,0,0,,,error" in out.splitlines()),
-], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row"])
+    (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-150"], 0,
+     lambda out, err: "energy = " in out and err == ""),
+    (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-300"], 1,
+     lambda out, err: out == "" and "invalid input: screening parameter a = 1e-300" in err),
+    (["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002", "--a-sequence", "1e-300"], 1,
+     lambda out, err: out == "" and "invalid input: screening parameter a = 1e-300" in err),
+    (["wavefunction", *BASE, "--points", "0"], 1,
+     lambda out, err: out == "" and "invalid input: points must be >= 2" in err),
+    (["wavefunction", *BASE, "--points", "-5"], 1,
+     lambda out, err: out == "" and "invalid input: points must be >= 2" in err),
+    (["wavefunction", *BASE, "--points", "1"], 1,
+     lambda out, err: out == "" and "invalid input: points must be >= 2" in err),
+    (["potential", "--v0", "0.2", "--a", "0"], 1,
+     lambda out, err: out == "" and "invalid input: screening parameter a" in err),
+    (["potential", "--v0", "0.2", "--a", "-1"], 1,
+     lambda out, err: out == "" and "invalid input: screening parameter a" in err),
+    (["potential", "--v0", "nan", "--a", "0.05"], 1,
+     lambda out, err: out == "" and "invalid input: strength must be finite" in err),
+], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row",
+        "solve-tiny-a", "solve-a-overflows", "limits-a-overflows", "wavefunction-0-points",
+        "wavefunction-negative-points", "wavefunction-1-point", "potential-zero-a",
+        "potential-negative-a", "potential-nan-v0"])
 def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code

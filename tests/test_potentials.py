@@ -109,3 +109,7 @@ def test_profile_validation():
         profile(1.0, 0.05, 2.0, 1.0, 10)
     with pytest.raises(DomainError):
         profile(1.0, 0.05, 0.1, 2.0, 1)
+    for strength, a in ((math.nan, 0.05), (math.inf, 0.05), (1.0, 0.0), (1.0, -1.0),
+                        (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            profile(strength, a, 0.1, 2.0, 10)

@@ -152,6 +152,17 @@ def test_small_screening_root_survives_consistency_check():
     assert solve_energy(pp, MP, qn).energy == pytest.approx(want, abs=1e-10)
 
 
+def test_tiny_screening_solves_until_the_residual_would_overflow():
+    # the suite turns any RuntimeWarning into an error, so a = 1e-150 also
+    # checks that no term or sign test overflows on the way
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    for branch in ("published", "decaying"):
+        sol = solve_energy(PotentialParams(v0=0.2, s0=0.1, a=1e-150), MP, qn, branch)
+        assert -MP.mass < sol.energy < MP.mass
+        with pytest.raises(DomainError, match="a = 1e-300"):
+            solve_energy(PotentialParams(v0=0.2, s0=0.1, a=1e-300), MP, qn, branch)
+
+
 def test_unknown_branch_is_rejected(pp_half):
     qn = QuantumNumbers(n=1, l=0, d=3)
     with pytest.raises(DomainError):
@@ -307,3 +318,6 @@ def test_wavefunction_grid_validation(pp_half):
         radial_wavefunction(sol, pp_half, MP, qn, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(DomainError):
         radial_wavefunction(sol, pp_half, MP, qn, np.array([1.0, 0.5, 2.0]))
+    for points in (1, 0, -5):
+        with pytest.raises(DomainError, match="points must be >= 2"):
+            default_radial_grid(sol.epsilon, points)
