@@ -7,8 +7,9 @@ bound state is a root of g(E) = lambda_k(E) - (E^2 - M^2).  Only the
 sign of g is needed, and one Sturm count of the symmetric tridiagonal
 matrix at x = E^2 - M^2 gives it exactly (lambda_k > x iff at most k
 eigenvalues lie below x), so the closure root is a single bisection
-over E.  :func:`eigenvalue_k` still extracts single eigenvalues by
-Sturm-count bisection.
+over E.  The scan that brackets it evaluates g point by point and stops
+at the first sign change.  :func:`eigenvalue_k` still extracts single
+eigenvalues by Sturm-count bisection.
 
 The Sturm count is the LDL^T pivot recurrence q_i = (d_i - x) - e2/q_{i-1}
 (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), run on Python
@@ -16,8 +17,9 @@ floats because numpy scalars make each step several times slower.  It
 stops early in the classically forbidden tail: once every later row has
 d_i - x >= 2 sqrt(e2) and the pivot has reached q >= sqrt(e2), each later
 pivot is at least 2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row
-adds to the count.  The E-independent part of W(r; E) is built once per
-grid and mode, and only the term linear in E is formed per evaluation.
+adds to the count.  Only the rows it walks are converted to Python
+floats.  The E-independent part of W(r; E) is built once per grid and
+mode, and only the term linear in E is formed per evaluation.
 
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ComplexChannel, DomainError, NoRootInBracket
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import approx_yukawa, centrifugal_approx, yukawa
-from .rootfind import bisect, sign_change_brackets
+from .rootfind import bisect
 from .solver import solve_energy
 
 # closure-root bisection tolerance on E
@@ -43,6 +45,8 @@ _TOL = 1e-12
 _FINE_HALF_WIDTH = 1e-4
 # half-width of cross_validate's bracket around the solver energy
 _HALF_WIDTH = 5e-3
+# rows of the forbidden tail the Sturm count converts to Python floats at once
+_TAIL_CHUNK = 128
 
 
 def _sturm_count(diag, e2: float, x: float) -> int:
@@ -54,30 +58,33 @@ def _sturm_count(diag, e2: float, x: float) -> int:
     d_i - x < 2 sqrt(e2), a pivot q >= sqrt(e2) bounds every later pivot
     below by sqrt(e2) > 0, so the loop stops there with the exact count.
     In floating point the bound sags by a few ulps per row, relative to
-    sqrt(e2), so it stays positive for any feasible number of rows.
+    sqrt(e2), so it stays positive for any feasible number of rows.  Only
+    the rows the loop walks are converted: the allowed region at once, the
+    forbidden tail _TAIL_CHUNK rows at a time.
     """
     shifted = diag - x
     root = math.sqrt(e2)
     allowed = np.flatnonzero(shifted < 2.0 * root)
     # first row of the forbidden tail; row 0 is never checked
     tail = int(allowed[-1]) + 1 if allowed.size else 1
-    rows = iter(shifted.tolist())
+    rows = iter(shifted[:tail].tolist())
     q = next(rows)
     count = int(q < 0.0)
-    for s in islice(rows, tail - 1):
-        if q == 0.0:
-            q = 1e-300
-        q = s - e2 / q
-        if q < 0.0:
-            count += 1
     for s in rows:
-        if q >= root:
-            break
         if q == 0.0:
             q = 1e-300
         q = s - e2 / q
         if q < 0.0:
             count += 1
+    for start in range(tail, shifted.shape[0], _TAIL_CHUNK):
+        for s in shifted[start:start + _TAIL_CHUNK].tolist():
+            if q >= root:
+                return count
+            if q == 0.0:
+                q = 1e-300
+            q = s - e2 / q
+            if q < 0.0:
+                count += 1
     return count
 
 
@@ -235,16 +242,18 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
         if not (lo < hi):
             raise DomainError(f"bracket {bracket} does not intersect (-M, M)")
     g = _closure(pp, mp, qn, grid, mode, k)
+    # g is never zero or non-finite, so the first bracket is the first pair
+    # of neighbouring scan points where its sign flips; g is evaluated
+    # lazily, up to that pair only
     Es = np.linspace(lo, hi, scan_points)
-    gs = np.array([g(E) for E in Es])
-    brackets = sign_change_brackets(Es, gs)
-    if not brackets:
-        raise NoRootInBracket(
-            f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
-            f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
-        )
-    root, _ = bisect(g, *brackets[0], _TOL)
-    return root
+    for (E_lo, g_lo), (E_hi, g_hi) in pairwise(zip(Es, map(g, Es))):
+        if (g_lo > 0.0) != (g_hi > 0.0):
+            root, _ = bisect(g, E_lo, E_hi, g_lo, _TOL)
+            return root
+    raise NoRootInBracket(
+        f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
+        f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
+    )
 
 
 def oracle_energy(

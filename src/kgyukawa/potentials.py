@@ -28,18 +28,20 @@ def yukawa(r, strength: float, a: float):
 
 def approx_yukawa(r, strength: float, a: float):
     """Exponential-rational approximant -2a*strength*exp(-2ar)/(1-exp(-2ar)),
-    valid for a*r << 1."""
+    valid for a*r << 1.  The denominator is -expm1(-2ar), which keeps its
+    precision where 1 - exp(-2ar) would cancel to 0."""
     rr = _check_positive_r(r)
     ex = np.exp(-2.0 * a * rr)
-    out = -2.0 * a * strength * ex / (1.0 - ex)
+    out = -2.0 * a * strength * ex / -np.expm1(-2.0 * a * rr)
     return float(out) if rr.ndim == 0 else out
 
 
 def centrifugal_approx(r, a: float):
-    """Approximant for 1/r^2: 4 a^2 exp(-2ar)/(1-exp(-2ar))^2."""
+    """Approximant for 1/r^2: 4 a^2 exp(-2ar)/(1-exp(-2ar))^2, with the
+    denominator from expm1 as in :func:`approx_yukawa`."""
     rr = _check_positive_r(r)
     ex = np.exp(-2.0 * a * rr)
-    out = 4.0 * a * a * ex / (1.0 - ex) ** 2
+    out = 4.0 * a * a * ex / np.expm1(-2.0 * a * rr) ** 2
     return float(out) if rr.ndim == 0 else out
 
 

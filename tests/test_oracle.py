@@ -20,7 +20,8 @@ from kgyukawa import (
     oracle_energy,
     solve_energy,
 )
-from kgyukawa.oracle import _closure, _sturm_count
+from kgyukawa.oracle import _TAIL_CHUNK, _closure, _closure_root, _sturm_count
+from kgyukawa.rootfind import bisect, sign_change_brackets
 
 MP = ParticleParams(mass=1.0)
 # zero-coupling parameters make the s-wave d=3 problem a particle in a box
@@ -174,6 +175,75 @@ def test_sturm_count_early_exit_matches_full_loop(case):
     assert _sturm_count(diag, e2, x) == reference_sturm_count(diag, e2, x)
 
 
+@st.composite
+def long_forbidden_tail(draw):
+    """(diag, e2, x): one allowed row, then up to five chunks of forbidden
+    rows with d_i barely above 2 sqrt(e2).  The first pivot sits near the
+    lower fixed point of q -> d - e2/q, so the pivot creeps up to sqrt(e2),
+    or down through zero, only after hundreds of rows, and often not before
+    the last row.  A small shift moves the tail's start into those rows."""
+    e2 = draw(st.floats(1e-2, 1e4))
+    root = math.sqrt(e2)
+    excess = 10.0 ** draw(st.floats(-7.0, -3.0))
+    first = 1.0 - draw(st.floats(0.5, 1.5)) * math.sqrt(2.0 * excess)
+    rows = draw(st.integers(1, 5 * _TAIL_CHUNK))
+    jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(rows)
+    diag = root * np.concatenate([[first], 2.0 + excess * (0.5 + jitter)])
+    x = root * draw(st.sampled_from([0.0, 1e-4, -1e-4])) * draw(st.floats(0.0, 1.0))
+    return diag, e2, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=long_forbidden_tail())
+def test_sturm_count_matches_full_loop_across_chunks(case):
+    diag, e2, x = case
+    assert _sturm_count(diag, e2, x) == reference_sturm_count(diag, e2, x)
+
+
+def chunked_walk(rows, lift=None, dip=None):
+    """e2 = 1: rows 0 and 1 are allowed and leave the pivot at exactly 0.5
+    (one negative pivot); every later row is forbidden, and d = 2.5 keeps
+    the pivot at exactly 0.5.  d = 3.5 at row lift raises it to 1.5 >=
+    sqrt(e2), so the walk ends on the row after; d = 2 at row dip makes it
+    exactly 0, so the next row's pivot is negative (one more count) and
+    the walk ends two rows later.  Row 2 starts the first chunk."""
+    diag = np.full(rows, 2.5)
+    diag[:2] = -1.0, -0.5
+    for row, value in ((lift, 3.5), (dip, 2.0)):
+        if row is not None:
+            diag[row] = value
+    return diag
+
+
+TAIL = 2
+EDGE = TAIL + _TAIL_CHUNK  # first row of the second chunk
+END = TAIL + 2 * _TAIL_CHUNK  # one past the last row of the second chunk
+
+
+@pytest.mark.parametrize("rows, lift, dip, want", [
+    # the walk ends on the last row of the first chunk, on the first row
+    # of the second, or one row later
+    (END, EDGE - 2, None, 1),
+    (END, EDGE - 1, None, 1),
+    (END, EDGE, None, 1),
+    # the zero pivot and the negative one straddle the chunk boundary
+    (END, None, EDGE - 2, 2),
+    (END, None, EDGE - 1, 2),
+    (END, None, EDGE, 2),
+    # the zero pivot on the first forbidden row, where the chunks start
+    (END, None, TAIL, 2),
+    # the walk reaches the last row, which ends a chunk or starts one
+    (END, None, None, 1),
+    (END + 1, None, None, 1),
+    (END, None, END - 2, 2),
+    (END + 1, None, END - 1, 2),
+])
+def test_sturm_count_chunk_boundaries(rows, lift, dip, want):
+    diag = chunked_walk(rows, lift, dip)
+    assert reference_sturm_count(diag, 1.0, 0.0) == want
+    assert _sturm_count(diag, 1.0, 0.0) == want
+
+
 @pytest.mark.parametrize("diag, x, want", [
     # q_1 = 1 - 1/1 is exactly 0.0 on the last allowed row
     ([1.0, 1.0, 3.0, 3.0, 3.0], 0.0, 1),
@@ -206,6 +276,27 @@ def test_oracle_energy_unchanged_by_the_early_exit(monkeypatch, beta):
     fast = [run(mode) for mode in modes]
     monkeypatch.setattr("kgyukawa.oracle._sturm_count", reference_sturm_count)
     assert [run(mode) for mode in modes] == fast
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+def test_perfbench_oracle_operation_sturm_counts(monkeypatch, beta, mode):
+    # the scan stops at the first sign change: about 37 counts for the
+    # coarse root and 35 for the fine one, against 86 for a scan that
+    # evaluates g at every point
+    pp = PotentialParams.from_beta(v0=0.2, beta=beta, a=0.05)
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    ref = solve_energy(pp, MP, qn, branch="decaying").energy
+    calls = []
+
+    def counting(diag, e2, x):
+        calls.append(x)
+        return _sturm_count(diag, e2, x)
+
+    monkeypatch.setattr("kgyukawa.oracle._sturm_count", counting)
+    oracle_energy(pp, MP, qn, oracle_grid(2000), mode, eigen_index=1,
+                  bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
+    assert len(calls) <= 75
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +367,35 @@ def test_closure_sign_matches_eigenvalue(pp_plus, mode):
     assert signs == {True, False}
 
 
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_closure_root_is_the_first_bracket_of_the_full_scan(mode, k):
+    # the scan stops at the first sign change; the root must be the one
+    # bisected from the first bracket of a scan that evaluates every point
+    pp = PotentialParams(v0=0.3, s0=0.6, a=0.05)
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    grid = oracle_grid(2000)
+    g = _closure(pp, MP, qn, grid, mode, k)
+    Es = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 101)
+    brackets = sign_change_brackets(Es, [g(E) for E in Es])
+    # a scalar-dominated coupling binds on both sides of E = 0
+    assert len(brackets) == 2
+    want, _ = bisect(g, *brackets[0], 1e-12)
+    assert _closure_root(pp, MP, qn, grid, mode, k, None, 101) == want
+
+
 def test_oracle_rejects_bracket_without_root(pp_plus):
     qn = QuantumNumbers(n=1, l=0, d=3)
-    with pytest.raises(NoRootInBracket):
-        oracle_energy(
-            pp_plus, MP, qn, oracle_grid(2000), "approximated",
-            eigen_index=0, bracket=(-0.6, -0.5), scan_points=11,
+    # a scan of one point or none has no pair to bracket a root either
+    for scan_points in (11, 1, 0):
+        with pytest.raises(NoRootInBracket) as err:
+            oracle_energy(
+                pp_plus, MP, qn, oracle_grid(2000), "approximated",
+                eigen_index=0, bracket=(-0.6, -0.5), scan_points=scan_points,
+            )
+        assert str(err.value) == (
+            f"closure g(E) has no sign change on [-0.600000, -0.500000] for {qn} "
+            "at eigen_index 0 (approximated mode, 2000-point grid)"
         )
 
 

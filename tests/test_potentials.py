@@ -60,6 +60,19 @@ def test_approx_ratio_improves_as_screening_shrinks():
     assert errors[-1] < 1e-7
 
 
+def test_approximants_at_tiny_screening():
+    # 1 - exp(-2ar) cancels to exactly 0 once 2ar < 1.1e-16; the
+    # approximants must still reach their a -> 0 limits, without a warning
+    a = 1e-20
+    r = np.geomspace(1e-4, 1e4, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        approx = approx_yukawa(r, 1.0, a)
+        centrifugal = centrifugal_approx(r, a)
+    assert np.max(np.abs(approx / yukawa(r, 1.0, a) - 1.0)) < 1e-12
+    assert np.max(np.abs(centrifugal * r * r - 1.0)) < 1e-12
+
+
 def test_centrifugal_plugin_value():
     # a*r = ln(2)/2 makes exp(-2ar) = 1/2, so the approximant is 8 a^2
     a = 0.3
