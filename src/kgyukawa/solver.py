@@ -70,6 +70,11 @@ def channel_constant(pp: PotentialParams, qn: QuantumNumbers) -> float:
     return value
 
 
+def _k(pp: PotentialParams, qn: QuantumNumbers) -> float:
+    """K = 2n+1+Lambda; the quantization residual reads (n, l, d) only through it."""
+    return 2 * qn.n + 1 + math.sqrt(channel_constant(pp, qn))
+
+
 def map_to_nu(
     pp: PotentialParams,
     mp: ParticleParams,
@@ -112,11 +117,11 @@ def energy_equation_residual(
     :class:`DomainError` when a is so small that the terms overflow.
     """
     sign = _eps_sign(branch)
-    lam = math.sqrt(channel_constant(pp, qn))
+    k = _k(pp, qn)
     m, a = mp.mass, pp.a
     # every base squared below is at most `bound` in size, so the residual
     # is at most 2 bound^2; Python float products give inf, never raise
-    bound = 2 * qn.n + 1 + lam + m / a + 2 * (abs(pp.v0) + abs(pp.s0))
+    bound = k + m / a + 2 * (abs(pp.v0) + abs(pp.s0))
     if not math.isfinite(2.0 * bound * bound):
         raise DomainError(
             f"screening parameter a = {a} is too small: the quantization residual overflows"
@@ -125,7 +130,7 @@ def energy_equation_residual(
     if np.any(np.abs(E) >= m):
         raise DomainError("E must lie strictly inside (-M, M)")
     eps = np.sqrt(m * m - E * E)
-    lhs = (2 * qn.n + 1 + lam + sign * eps / a) ** 2
+    lhs = (k + sign * eps / a) ** 2
     rhs = -((E / a - 2 * pp.v0) ** 2) + (m / a + 2 * pp.s0) ** 2
     out = lhs - rhs
     return float(out) if out.ndim == 0 else out
@@ -186,7 +191,7 @@ class TableCell:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """Grid of independent energy solutions over d x n x l."""
+    """Grid of energy solutions over d x n x l; cells with equal K share one solve."""
 
     pp: PotentialParams
     mp: ParticleParams
@@ -195,10 +200,18 @@ class EnergyTable:
     CSV_HEADER = ("dim", "n", "l", "energy", "residual", "status")
 
 
-def _solve_cell(pp, mp, d, n, l) -> TableCell:
+def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
     try:
         qn = QuantumNumbers(n=n, l=l, d=d)
-        sol = solve_energy(pp, mp, qn)
+        k = _k(pp, qn)
+        if k not in solved:
+            try:
+                solved[k] = qn, solve_energy(pp, mp, qn)
+            except NoRootInBracket as exc:
+                solved[k] = qn, exc
+        first, sol = solved[k]
+        if isinstance(sol, NoRootInBracket):  # its message names `first`
+            raise NoRootInBracket(str(sol).replace(str(first), str(qn)))
         return TableCell(dim=d, n=n, l=l, status="ok", energy=sol.energy, residual=sol.residual)
     except NoRootInBracket as exc:
         return TableCell(dim=d, n=n, l=l, status="no_bound_state", message=str(exc))
@@ -218,11 +231,14 @@ def solve_table(
     """Solve every published-branch cell of the Cartesian product
     d_range x n_range x l_range, in that order.
 
-    Cells are independent; per-cell failures are recorded in the cell
-    status and never abort the grid.
+    The residual depends on (n, l, d) only through K = 2n+1+Lambda, so
+    cells with the same float K share one solve_energy call and get the
+    same energy and residual, bit for bit.  Per-cell failures are recorded
+    in the cell status and message and never abort the grid.
     """
+    solved: dict[float, tuple] = {}  # K -> (first qn, EnergySolution or NoRootInBracket)
     cells = tuple(
-        _solve_cell(pp, mp, d, n, l) for d in d_range for n in n_range for l in l_range
+        _solve_cell(pp, mp, d, n, l, solved) for d in d_range for n in n_range for l in l_range
     )
     return EnergyTable(pp=pp, mp=mp, cells=cells)
 
