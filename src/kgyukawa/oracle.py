@@ -8,7 +8,10 @@ sign of g is needed, and one Sturm count of the symmetric tridiagonal
 matrix at x = E^2 - M^2 gives it exactly (lambda_k > x iff at most k
 eigenvalues lie below x), so the closure root is a single bisection
 over E.  The scan that brackets it evaluates g point by point and stops
-at the first sign change.  :func:`eigenvalue_k` still extracts single
+at the first sign change.  The doubled grid's root, which the Richardson
+estimate needs, is bracketed outward from the coarse one: g at the coarse
+root, then on both sides at steps doubling from 1.25e-5 to 1e-4, up to
+the first sign change.  :func:`eigenvalue_k` still extracts single
 eigenvalues by Sturm-count bisection.
 
 The Sturm count is the LDL^T pivot recurrence q_i = (d_i - x) - e2/q_{i-1}
@@ -41,8 +44,9 @@ from .solver import solve_energy
 
 # closure-root bisection tolerance on E
 _TOL = 1e-12
-# half-width of the doubled grid's bracket around the coarse root
-_FINE_HALF_WIDTH = 1e-4
+# steps outward from the coarse root at which the doubled grid's closure is
+# evaluated, on both sides; the last is the half-width of its search
+_FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 # half-width of cross_validate's bracket around the solver energy
 _HALF_WIDTH = 5e-3
 # rows of the forbidden tail the Sturm count converts to Python floats at once
@@ -71,18 +75,14 @@ def _sturm_count(diag, e2: float, x: float) -> int:
     q = next(rows)
     count = int(q < 0.0)
     for s in rows:
-        if q == 0.0:
-            q = 1e-300
-        q = s - e2 / q
+        q = s - e2 / (q or 1e-300)
         if q < 0.0:
             count += 1
     for start in range(tail, shifted.shape[0], _TAIL_CHUNK):
         for s in shifted[start:start + _TAIL_CHUNK].tolist():
             if q >= root:
                 return count
-            if q == 0.0:
-                q = 1e-300
-            q = s - e2 / q
+            q = s - e2 / (q or 1e-300)
             if q < 0.0:
                 count += 1
     return count
@@ -230,6 +230,13 @@ def _closure(pp, mp, qn, grid, mode, k):
     return g
 
 
+def _no_root(qn, k, mode, grid, lo, hi):
+    return NoRootInBracket(
+        f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
+        f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
+    )
+
+
 def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
     m = mp.mass
     if bracket is None:
@@ -245,15 +252,29 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
     # g is never zero or non-finite, so the first bracket is the first pair
     # of neighbouring scan points where its sign flips; g is evaluated
     # lazily, up to that pair only
-    Es = np.linspace(lo, hi, scan_points)
+    Es = np.linspace(lo, hi, scan_points).tolist()
     for (E_lo, g_lo), (E_hi, g_hi) in pairwise(zip(Es, map(g, Es))):
         if (g_lo > 0.0) != (g_hi > 0.0):
             root, _ = bisect(g, E_lo, E_hi, g_lo, _TOL)
             return root
-    raise NoRootInBracket(
-        f"closure g(E) has no sign change on [{lo:.6f}, {hi:.6f}] "
-        f"for {qn} at eigen_index {k} ({mode} mode, {grid.points}-point grid)"
-    )
+    raise _no_root(qn, k, mode, grid, lo, hi)
+
+
+def _fine_root(pp, mp, qn, grid, mode, k, root):
+    """Closure root on grid next to the coarse root: g at root, then at
+    root - w and root + w for each w of _FINE_STEPS, clipped into (-M, M),
+    up to the first sign change, which is bisected."""
+    g = _closure(pp, mp, qn, grid, mode, k)
+    edge = mp.mass * (1.0 - 1e-9)
+    g_root = g(root)
+    for w in _FINE_STEPS:
+        lo, hi = max(root - w, -edge), min(root + w, edge)
+        g_lo = g(lo)
+        if (g_lo > 0.0) != (g_root > 0.0):
+            return bisect(g, lo, root, g_lo, _TOL)[0]
+        if (g(hi) > 0.0) != (g_root > 0.0):
+            return bisect(g, root, hi, g_root, _TOL)[0]
+    raise _no_root(qn, k, mode, grid, lo, hi)
 
 
 def oracle_energy(
@@ -271,8 +292,8 @@ def oracle_energy(
     Bisects the sign of g(E) = lambda_k(E) - (E^2 - M^2) on the given
     bracket (or on a coarse scan of (-M, M) when none is given) and
     Richardson-extrapolates against the doubled grid, whose root is
-    sought only in a narrow bracket (+-1e-4) around the coarse
-    one.  eigen_index defaults to n - 1, pairing the node ordering with
+    sought outward from the coarse one, at most 1e-4 away from
+    it.  eigen_index defaults to n - 1, pairing the node ordering with
     the radial label; when the pairing (or the bracket) is wrong, or the
     doubled grid has no root next to the coarse one, this raises
     :class:`NoRootInBracket` rather than silently reindexing or pairing
@@ -282,8 +303,7 @@ def oracle_energy(
     root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points)
 
     fine = grid.doubled()
-    fine_bracket = (root - _FINE_HALF_WIDTH, root + _FINE_HALF_WIDTH)
-    root_fine = _closure_root(pp, mp, qn, fine, mode, k, fine_bracket, 21)
+    root_fine = _fine_root(pp, mp, qn, fine, mode, k, root)
     rho = (fine.points - 1) / (grid.points - 1)  # spacing ratio h/h_fine
     richardson = (root_fine * rho**2 - root) / (rho**2 - 1.0)
     return OracleResult(energy=root, eigen_index=k, grid=grid, richardson_estimate=richardson)

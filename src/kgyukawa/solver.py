@@ -168,10 +168,10 @@ def solve_energy(
     lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
     root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
     return EnergySolution(
-        energy=root,
+        energy=float(root),
         epsilon=math.sqrt(m * m - root * root),
         residual=f(root),
-        bracket=(lo, hi),
+        bracket=(float(lo), float(hi)),
         iterations=iters,
     )
 

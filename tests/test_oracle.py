@@ -15,12 +15,20 @@ from kgyukawa import (
     QuantumNumbers,
     RadialGrid,
     cross_validate,
+    default_oracle_grid,
     effective_ode_coefficient,
     eigenvalue_k,
     oracle_energy,
     solve_energy,
 )
-from kgyukawa.oracle import _TAIL_CHUNK, _closure, _closure_root, _sturm_count
+from kgyukawa.oracle import (
+    _FINE_STEPS,
+    _TAIL_CHUNK,
+    _closure,
+    _closure_root,
+    _fine_root,
+    _sturm_count,
+)
 from kgyukawa.rootfind import bisect, sign_change_brackets
 
 MP = ParticleParams(mass=1.0)
@@ -281,9 +289,9 @@ def test_oracle_energy_unchanged_by_the_early_exit(monkeypatch, beta):
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 @pytest.mark.parametrize("mode", ["approximated", "exact"])
 def test_perfbench_oracle_operation_sturm_counts(monkeypatch, beta, mode):
-    # the scan stops at the first sign change: about 37 counts for the
-    # coarse root and 35 for the fine one, against 86 for a scan that
-    # evaluates g at every point
+    # the coarse scan stops at its first sign change (36-39 counts); the
+    # fine root takes 26: one at the coarse root, one at root - 1.25e-5,
+    # where the sign flips, and 24 bisection midpoints
     pp = PotentialParams.from_beta(v0=0.2, beta=beta, a=0.05)
     qn = QuantumNumbers(n=1, l=0, d=3)
     ref = solve_energy(pp, MP, qn, branch="decaying").energy
@@ -296,7 +304,76 @@ def test_perfbench_oracle_operation_sturm_counts(monkeypatch, beta, mode):
     monkeypatch.setattr("kgyukawa.oracle._sturm_count", counting)
     oracle_energy(pp, MP, qn, oracle_grid(2000), mode, eigen_index=1,
                   bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
-    assert len(calls) <= 75
+    assert len(calls) <= 66
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+def test_fine_root_matches_dense_scan(beta, mode):
+    # the outward search bisects a different bracket from a dense scan of
+    # the doubled grid's +-1e-4 window; both reach the same root
+    pp = PotentialParams.from_beta(v0=0.2, beta=beta, a=0.05)
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    ref = solve_energy(pp, MP, qn, branch="decaying").energy
+    grid = oracle_grid(2000)
+    root = _closure_root(pp, MP, qn, grid, mode, 1, (ref - 5e-3, ref + 5e-3), 11)
+    fine = grid.doubled()
+    half = _FINE_STEPS[-1]
+    dense = _closure_root(pp, MP, qn, fine, mode, 1, (root - half, root + half), 2001)
+    assert abs(_fine_root(pp, MP, qn, fine, mode, 1, root) - dense) <= 1e-12
+
+
+def test_fine_root_search_is_clipped_below_mass(monkeypatch):
+    # the coarse root lies 6e-6 below M and the fine one above it, so the
+    # first step up is clipped to M(1 - 1e-9), where the sign flips
+    pp = PotentialParams(v0=0.05, s0=0.05, a=0.01)
+    qn = QuantumNumbers(n=1, l=1, d=3)
+    ref = solve_energy(pp, MP, qn, branch="decaying").energy
+    grid = default_oracle_grid(math.sqrt(MP.mass**2 - ref**2), points=2000)
+    res = oracle_energy(pp, MP, qn, grid, "approximated", eigen_index=1,
+                        bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
+    assert abs(res.richardson_estimate - ref) < 1e-7
+    root = res.energy
+    edge = MP.mass * (1.0 - 1e-9)
+    assert edge - _FINE_STEPS[0] < root < edge
+    shifts = []
+
+    def recording(diag, e2, x):
+        shifts.append(x)
+        return _sturm_count(diag, e2, x)
+
+    monkeypatch.setattr("kgyukawa.oracle._sturm_count", recording)
+    fine = _fine_root(pp, MP, qn, grid.doubled(), "approximated", 1, root)
+    assert root < fine < edge
+    # x = E^2 - M^2: the search steps up to the clipped edge, not past it
+    assert max(shifts) == edge * edge - MP.mass**2
+
+
+def test_oracle_names_doubled_grid_when_fine_root_is_far(pp_plus):
+    # on 100 points the doubled grid moves the nodeless root by more than
+    # 1e-4, so the search around the coarse root finds nothing
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    grid = RadialGrid(r_min=1e-4, r_max=400.0, points=100)
+    root = _closure_root(pp_plus, MP, qn, grid, "approximated", 0, None, 101)
+    far = _closure_root(pp_plus, MP, qn, grid.doubled(), "approximated", 0, None, 101)
+    assert abs(far - root) > _FINE_STEPS[-1]
+    with pytest.raises(NoRootInBracket) as err:
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0)
+    assert str(err.value) == (
+        f"closure g(E) has no sign change on [{root - 1e-4:.6f}, {root + 1e-4:.6f}] "
+        f"for {qn} at eigen_index 0 (approximated mode, 200-point grid)"
+    )
+
+
+def test_energies_are_python_floats(pp_plus):
+    # not numpy.float64, although both solvers scan numpy grids
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    sol = solve_energy(pp_plus, MP, qn, branch="decaying")
+    ref = sol.energy
+    res = oracle_energy(pp_plus, MP, qn, oracle_grid(2000), "approximated",
+                        eigen_index=1, bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
+    values = (sol.energy, *sol.bracket, res.energy, res.richardson_estimate)
+    assert [type(x) for x in values] == [float] * 5
 
 
 # --------------------------------------------------------------------------
