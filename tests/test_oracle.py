@@ -29,7 +29,8 @@ from kgyukawa.oracle import (
     _fine_root,
     _sturm_count,
 )
-from kgyukawa.rootfind import bisect, sign_change_brackets
+from kgyukawa.rootfind import bisect
+from reference_scan import reference_brackets
 
 MP = ParticleParams(mass=1.0)
 # zero-coupling parameters make the s-wave d=3 problem a particle in a box
@@ -454,7 +455,7 @@ def test_closure_root_is_the_first_bracket_of_the_full_scan(mode, k):
     grid = oracle_grid(2000)
     g = _closure(pp, MP, qn, grid, mode, k)
     Es = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 101)
-    brackets = sign_change_brackets(Es, [g(E) for E in Es])
+    brackets = reference_brackets(Es, [g(E) for E in Es])
     # a scalar-dominated coupling binds on both sides of E = 0
     assert len(brackets) == 2
     want, _ = bisect(g, *brackets[0], 1e-12)

@@ -2,9 +2,18 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgyukawa.rootfind import bisect, sign_change_brackets
+from kgyukawa import DomainError
+from kgyukawa.rootfind import _SCAN_CHUNK, bisect, sign_change_brackets
+from reference_scan import reference_brackets
+
+# values that break, end or start a run of one sign
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300)
+_LENGTHS = (0, 1, 2, _SCAN_CHUNK, _SCAN_CHUNK + 1, 20000)
 
 
 def test_scan_brackets_carry_their_left_end_value():
@@ -33,6 +42,44 @@ def test_sign_change_found_where_the_product_under_or_overflows(scale):
         warnings.simplefilter("error")
         brackets = sign_change_brackets([0.0, 1.0, 2.0], [-scale, scale, 2.0 * scale])
     assert brackets == [(0.0, 1.0, -scale)]
+
+
+def test_length_mismatch_is_domain_error():
+    fs = [1.0, -1.0, 0.0]
+    # the zero at fs[-1] must not be paired with a shorter xs's last point
+    for xs in ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0]):
+        with pytest.raises(DomainError, match="differ in length"):
+            sign_change_brackets(xs, fs)
+
+
+def _hex(brackets):
+    return [tuple(float(v).hex() for v in b) for b in brackets]
+
+
+@st.composite
+def scans(draw):
+    """(xs, fs) of a length in _LENGTHS: random signs and scales with NaN,
+    infinities and exact zeros sprinkled in, and values drawn by hypothesis
+    at the points either side of every slice boundary."""
+    n = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    # each value negative with probability 0, 0.01 or 0.5: from one sign
+    # throughout, through long runs as in a residual scan, to many changes
+    fs = np.abs(fs) * np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.01, 0.5))), -1.0, 1.0)
+    specials = rng.random(n) < draw(st.sampled_from((0.0, 0.001, 0.1)))
+    fs[specials] = rng.choice(_SPECIAL, int(specials.sum()))
+    edges = sorted({j for k in range(_SCAN_CHUNK, n, _SCAN_CHUNK) for j in (k - 1, k, k + 1) if j < n})
+    for j in edges:
+        fs[j] = draw(st.sampled_from(_SPECIAL) | st.floats())
+    return np.linspace(-1.0, 1.0, n), fs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=scans())
+def test_scan_matches_reference_scan(case):
+    xs, fs = case
+    assert _hex(sign_change_brackets(xs, fs)) == _hex(reference_brackets(xs, fs))
 
 
 def test_bisect_evaluates_only_midpoints():

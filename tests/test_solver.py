@@ -1,5 +1,6 @@
 """Energy equation, root finder, tables and radial wavefunctions."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from closed_form import COMPLEX_CHANNEL, NO_STATE, closed_form_energy
 from kgyukawa import (
     ComplexChannel,
     DomainError,
+    KgYukawaError,
     NoRootInBracket,
     ParticleParams,
     PotentialParams,
@@ -25,6 +27,9 @@ from kgyukawa import (
     solve_energy,
     solve_table,
 )
+from kgyukawa.rootfind import bisect
+from kgyukawa.solver import SCAN_EDGE, SCAN_POINTS, TOLERANCE
+from reference_scan import reference_brackets
 
 MP = ParticleParams(mass=1.0)
 
@@ -139,6 +144,54 @@ def test_both_branches_match_closed_form(v0, ratio, a, n, l, d):
                 solve_energy(pp, MP, qn, branch)
         else:
             assert solve_energy(pp, MP, qn, branch).energy == pytest.approx(want, abs=1e-10)
+
+
+def _reference_solve(pp, qn, branch):
+    """solve_energy's result fields as hex, from the reference scan and bisect."""
+    m = MP.mass
+    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
+    brackets = reference_brackets(grid, energy_equation_residual(grid, pp, MP, qn, branch))
+    if not brackets:
+        raise NoRootInBracket
+
+    def f(E):
+        return energy_equation_residual(E, pp, MP, qn, branch)
+
+    lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
+    root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
+    return float(root).hex(), f(root).hex(), float(lo).hex(), float(hi).hex(), iters
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except KgYukawaError as exc:
+        return type(exc)
+
+
+def test_solver_matches_reference_scan_and_bisect():
+    # 200 seeded draws over the perfbench `states` ranges, alternating the
+    # published branch (`solve` couplings) with the decaying one (`limits`
+    # couplings); each reference scan walks 20000 numpy scalars (about 70 ms)
+    def solve(pp, qn, branch):
+        sol = solve_energy(pp, MP, qn, branch)
+        return (sol.energy.hex(), sol.residual.hex(), sol.bracket[0].hex(),
+                sol.bracket[1].hex(), sol.iterations)
+
+    rng = random.Random(7)
+    found = {"published": 0, "decaying": 0}
+    for i in range(200):
+        branch = ("published", "decaying")[i % 2]
+        if branch == "published":
+            v0, a = rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.1)
+        else:
+            v0, a = rng.uniform(0.05, 0.15), rng.uniform(0.0005, 0.005)
+        pp = PotentialParams(v0=v0, s0=rng.uniform(-1.0, 1.0) * v0, a=a)
+        qn = QuantumNumbers(n=rng.randint(1, 3), l=rng.randint(0, 2), d=rng.randint(2, 10))
+        want = _outcome(_reference_solve, pp, qn, branch)
+        assert _outcome(solve, pp, qn, branch) == want
+        found[branch] += isinstance(want, tuple)
+    assert all(found.values()), found
 
 
 def test_small_screening_root_survives_consistency_check():
