@@ -5,7 +5,6 @@ finite-difference eigensolver."""
 
 from .errors import (
     ComplexChannel,
-    ConstraintViolation,
     DomainError,
     KgYukawaError,
     NegativeDiscriminant,
@@ -25,10 +24,8 @@ from .limits import (
 from .nu import (
     NuCoefficients,
     NuProblem,
-    WavefunctionExponents,
     derive_coefficients,
     energy_relation_residual,
-    wavefunction_exponents,
 )
 from .oracle import (
     OracleComparison,

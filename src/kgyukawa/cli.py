@@ -19,10 +19,8 @@ import click
 
 from .errors import (
     ComplexChannel,
-    ConstraintViolation,
     DomainError,
     KgYukawaError,
-    NegativeDiscriminant,
     NoRootInBracket,
     NonFinite,
     NormalizationFailure,
@@ -381,10 +379,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         click.echo(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NoRootInBracket, ComplexChannel, OutOfDomain, NegativeDiscriminant) as exc:
+    except (NoRootInBracket, ComplexChannel, OutOfDomain) as exc:
         click.echo(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (NonFinite, NormalizationFailure, ConstraintViolation) as exc:
+    except (NonFinite, NormalizationFailure) as exc:
         click.echo(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except KgYukawaError as exc:

@@ -14,15 +14,6 @@ class NegativeDiscriminant(KgYukawaError):
     so no real solution exists for these parameters."""
 
 
-class ConstraintViolation(KgYukawaError):
-    """A wavefunction exponent/parameter violates its admissibility bound."""
-
-    def __init__(self, name: str, value: float):
-        self.name = name
-        self.value = value
-        super().__init__(f"coefficient {name} = {value!r} violates its constraint")
-
-
 class ComplexChannel(KgYukawaError):
     """The angular channel constant (D+2l-2)^2 + 4(S0^2-V0^2) is negative:
     the vector coupling is too strong for a real solution."""

@@ -9,13 +9,18 @@ independent of any particular potential.  The six input constants fix a
 family of derived constants c4..c13; polynomial (bound-state) solutions
 exist where the quantization residual vanishes, and the solutions are
 built from Jacobi polynomials weighted by s^c12 * (1 - c3*s)^c13.
+
+This is the paper's shortcut, kept as checked public API.  For the
+Yukawa problem :mod:`kgyukawa.solver` uses its results in closed form:
+only :func:`kgyukawa.solver.map_to_nu` builds a :class:`NuProblem`, and
+no command calls into this module.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintViolation, DomainError, NegativeDiscriminant
+from .errors import DomainError, NegativeDiscriminant
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class NuCoefficients:
     """Constants c4..c13 derived from a :class:`NuProblem`.
 
     For c3 = 0 the entries c11 and c13 involve divisions by c3 and are
-    not defined; they are stored as NaN and rejected on wavefunction use.
+    not defined; they are stored as NaN.
     """
 
     c4: float
@@ -55,20 +60,6 @@ class NuCoefficients:
     c13: float
 
 
-@dataclass(frozen=True)
-class WavefunctionExponents:
-    """Exponents of phi(s) = s^c12 (1-c3 s)^c13 and the Jacobi parameters
-    (c10, c11), which are also the exponents of the weight function.
-
-    ``c12_substituted`` records that the raw c12 was non-positive (the
-    growing solution) and the decaying partner exponent was used instead.
-    """
-
-    phi: tuple[float, float]
-    jacobi: tuple[float, float]
-    c12_substituted: bool = False
-
-
 def derive_coefficients(problem: NuProblem) -> NuCoefficients:
     """Derive c4..c13 from the canonical six constants.
 
@@ -77,8 +68,9 @@ def derive_coefficients(problem: NuProblem) -> NuCoefficients:
 
     Note on signs: c10 carries +2*sqrt(c8) (the Jacobi parameter of the
     weight function must exceed -1 for normalizable states), while c12 is
-    kept as c4 - sqrt(c8) exactly as the shortcut tabulates it; the
-    wavefunction builder substitutes the decaying partner when c12 <= 0.
+    kept as c4 - sqrt(c8) exactly as the shortcut tabulates it; when it is
+    not positive (the growing solution), the decaying partner is
+    2*c4 - c12 = c4 + sqrt(c8).
     """
     c1, c2, c3 = problem.c1, problem.c2, problem.c3
     c4 = 0.5 * (1.0 - c1)
@@ -126,32 +118,4 @@ def energy_relation_residual(problem: NuProblem, coeffs: NuCoefficients, n: int)
         + coeffs.c7
         + 2.0 * c3 * coeffs.c8
         - 2.0 * r8 * r9
-    )
-
-
-def wavefunction_exponents(coeffs: NuCoefficients) -> WavefunctionExponents:
-    """Exponents and Jacobi parameters for the bound-state wavefunction.
-
-    Checks c10 > -1, c11 > -1, c12 > 0, c13 > 0.  A non-positive c12
-    (the growing-at-infinity solution) is replaced by its decaying
-    partner 2*c4 - c12 = c4 + sqrt(c8) and flagged; the other three
-    constraints have no admissible substitute and raise.
-    """
-    if not (coeffs.c10 > -1.0):
-        raise ConstraintViolation("c10", coeffs.c10)
-    if not (coeffs.c11 > -1.0):
-        raise ConstraintViolation("c11", coeffs.c11)
-    substituted = False
-    c12 = coeffs.c12
-    if not (c12 > 0.0):
-        c12 = 2.0 * coeffs.c4 - coeffs.c12
-        substituted = True
-        if not (c12 > 0.0):
-            raise ConstraintViolation("c12", coeffs.c12)
-    if not (coeffs.c13 > 0.0):
-        raise ConstraintViolation("c13", coeffs.c13)
-    return WavefunctionExponents(
-        phi=(c12, coeffs.c13),
-        jacobi=(coeffs.c10, coeffs.c11),
-        c12_substituted=substituted,
     )

@@ -3,10 +3,12 @@ Klein-Gordon equation with unequal scalar/vector Yukawa couplings.
 
 The radial equation, with 1/r and 1/r^2 replaced by their exponential
 approximants (valid for a*r << 1), maps under s = exp(-2ar) onto the
-canonical hypergeometric-type form handled by :mod:`kgyukawa.nu`.  The
-resulting quantization condition is transcendental in E and has two
-branches (see :func:`energy_equation_residual`); either is solved by
-dense scanning plus bisection.
+canonical hypergeometric-type form of :mod:`kgyukawa.nu`
+(:func:`map_to_nu`).  The shortcut's results are used here in closed
+form: the quantization condition in K = 2n+1+Lambda and eps, with two
+branches (see :func:`energy_equation_residual`), is solved by dense
+scanning plus bisection, and the wavefunction exponents and Jacobi
+parameters are written down directly (see :func:`radial_wavefunction`).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import (
     NoRootInBracket,
     NormalizationFailure,
 )
-from .nu import NuProblem, derive_coefficients, wavefunction_exponents
+from .nu import NuProblem
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
 from .special import jacobi_eval
@@ -47,8 +49,9 @@ def _eps_sign(branch: str) -> float:
 class EnergySolution:
     """A converged eigenvalue with diagnostics.
 
-    energy and epsilon in fm^-1 with epsilon = sqrt(M^2 - E^2); bracket
-    is the scan interval the root was refined in.
+    energy and epsilon in fm^-1 with epsilon = sqrt(M^2 - E^2); residual
+    is :func:`energy_equation_residual` at the energy; bracket is the
+    scan interval the root was refined in.
     """
 
     energy: float
@@ -60,9 +63,16 @@ class EnergySolution:
 
 def channel_constant(pp: PotentialParams, qn: QuantumNumbers) -> float:
     """(d+2l-2)^2 + 4*(s0^2 - v0^2); negative means the vector coupling is
-    too strong for a real solution (raises :class:`ComplexChannel`)."""
+    too strong for a real solution (raises :class:`ComplexChannel`).
+    Raises :class:`DomainError` when the couplings are so large that the
+    value is not finite."""
     k = qn.kappa()
     value = k * k + 4.0 * (pp.s0 * pp.s0 - pp.v0 * pp.v0)
+    if not math.isfinite(value):
+        raise DomainError(
+            f"couplings v0 = {pp.v0}, s0 = {pp.s0} are too large: "
+            f"(d+2l-2)^2 + 4(s0^2 - v0^2) = {value} is not finite"
+        )
     if value < 0.0:
         raise ComplexChannel(
             f"(d+2l-2)^2 + 4(s0^2 - v0^2) = {value} < 0 for {qn}"
@@ -107,32 +117,26 @@ def energy_equation_residual(
 ):
     """Quantization residual in closed form,
 
-        (2n+1 + sqrt((d+2l-2)^2 + 4(s0^2-v0^2)) -+ eps/a)^2
-            - [-(E/a - 2 v0)^2 + (M/a + 2 s0)^2],
+        a (K^2 + 4(v0^2 - s0^2)) - 4 s0 M - 4 v0 E -+ 2 K eps,
 
-    with -eps/a on the "published" branch (the paper's tables; its
-    solutions grow like exp(+eps*r) at infinity) and +eps/a on the
-    "decaying" one.  Continuous in E on (-M, M); a bound state of the
-    branch makes it zero.  Accepts a scalar or ndarray E.  Raises
-    :class:`DomainError` when a is so small that the terms overflow.
+    with K = 2n+1 + sqrt((d+2l-2)^2 + 4(s0^2-v0^2)), -2K eps on the
+    "published" branch (the paper's tables; its solutions grow like
+    exp(+eps*r) at infinity) and +2K eps on the "decaying" one.  It is
+    the condition (K -+ eps/a)^2 = -(E/a - 2 v0)^2 + (M/a + 2 s0)^2
+    with eps^2 + E^2 = M^2 cancelled exactly, times a, so it has the
+    same sign and roots but no terms of order (M/a)^2.  Continuous in E
+    on (-M, M); a bound state of the branch makes it zero.  Accepts a
+    scalar or ndarray E.
     """
     sign = _eps_sign(branch)
     k = _k(pp, qn)
-    m, a = mp.mass, pp.a
-    # every base squared below is at most `bound` in size, so the residual
-    # is at most 2 bound^2; Python float products give inf, never raise
-    bound = k + m / a + 2 * (abs(pp.v0) + abs(pp.s0))
-    if not math.isfinite(2.0 * bound * bound):
-        raise DomainError(
-            f"screening parameter a = {a} is too small: the quantization residual overflows"
-        )
+    m, a, v0, s0 = mp.mass, pp.a, pp.v0, pp.s0
     E = np.asarray(E, dtype=float)
     if np.any(np.abs(E) >= m):
         raise DomainError("E must lie strictly inside (-M, M)")
     eps = np.sqrt(m * m - E * E)
-    lhs = (k + sign * eps / a) ** 2
-    rhs = -((E / a - 2 * pp.v0) ** 2) + (m / a + 2 * pp.s0) ** 2
-    out = lhs - rhs
+    c = a * (k * k + 4.0 * (v0 * v0 - s0 * s0)) - 4.0 * s0 * m
+    out = c - 4.0 * v0 * E + 2.0 * sign * k * eps
     return float(out) if out.ndim == 0 else out
 
 
@@ -304,15 +308,18 @@ def radial_wavefunction(
     * P_n^(eps/a, Lambda)(1 - 2 exp(-2ar)) with N fixed by the trapezoid
     quadrature of R^2 on the grid (far tail truncated).
 
-    Lambda = sqrt((d+2l-2)^2 + 4(s0^2 - v0^2)); the exponents and Jacobi
-    parameters are produced by the canonical-form pipeline, which
-    enforces the admissibility constraints.
+    Lambda = sqrt((d+2l-2)^2 + 4(s0^2 - v0^2)) and eps = sqrt(M^2 - E^2)
+    at E = sol.energy, which must lie in (-M, M).  These are the closed
+    forms of the Nikiforov-Uvarov shortcut for this potential: Jacobi
+    parameters (c10, c11) = (eps/a, Lambda) and exponents
+    (2c4 - c12, c13) = (eps/(2a), (1+Lambda)/2), the decaying partner of
+    c12 = -eps/(2a).
     """
-    exps = wavefunction_exponents(
-        derive_coefficients(map_to_nu(pp, mp, qn, sol.energy))
-    )
-    alpha, beta = exps.jacobi
-    phi_s, phi_1ms = exps.phi
+    m, E = mp.mass, sol.energy
+    if not (-m < E < m):
+        raise DomainError(f"energy must lie in (-M, M), got {E}")
+    alpha = math.sqrt(m * m - E * E) / pp.a
+    beta = math.sqrt(channel_constant(pp, qn))
     if grid is None:
         grid = default_radial_grid(sol.epsilon)
     r = np.asarray(grid, dtype=float)
@@ -320,7 +327,8 @@ def radial_wavefunction(
         raise DomainError("grid must be strictly positive and increasing")
 
     s = np.exp(-2.0 * pp.a * r)
-    raw = s**phi_s * (1.0 - s) ** phi_1ms * jacobi_eval(qn.n, alpha, beta, 1.0 - 2.0 * s)
+    raw = (s ** (alpha / 2.0) * (1.0 - s) ** ((1.0 + beta) / 2.0)
+           * jacobi_eval(qn.n, alpha, beta, 1.0 - 2.0 * s))
 
     density = raw * raw
     peak = density.max()

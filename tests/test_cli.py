@@ -207,6 +207,19 @@ def test_wavefunction_csv_and_node_report(capsys):
     assert len(rows) == 512
 
 
+def test_wavefunction_at_zero_lambda(capsys):
+    # D = 2, l = 0 and s0 = v0 give Lambda = 0 exactly
+    code, out, err = run(capsys, [
+        "wavefunction", "--v0", "0.1", "--s0", "0.1", "--a", "0.02",
+        "--n", "1", "--l", "0", "--dim", "2", "--format", "json",
+    ])
+    assert code == 0
+    assert err == "nodes = 1\n"
+    payload = json.loads(out)
+    assert payload["jacobi_beta"] == 0.0
+    assert payload["nodes"] == 1
+
+
 def test_potential_csv_headers(capsys):
     code, out, _ = run(capsys, [
         "potential", "--v0", "1.41421356", "--a", "0.0707106781",
@@ -294,11 +307,16 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
     (["table", *BASE, "--n-range", "0:1", "--l-range", "0", "--dim-range", "3"], 0,
      lambda out, err: "3,0,0,,,error" in out.splitlines()),
     (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-150"], 0,
-     lambda out, err: "energy = " in out and err == ""),
-    (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-300"], 1,
-     lambda out, err: out == "" and "invalid input: screening parameter a = 1e-300" in err),
-    (["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002", "--a-sequence", "1e-300"], 1,
-     lambda out, err: out == "" and "invalid input: screening parameter a = 1e-300" in err),
+     lambda out, err: "energy = -0.99871617" in out and err == ""),
+    # the residual has no (M/a)^2 terms, so even a = 1e-300 overflows nothing
+    (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-300"], 0,
+     lambda out, err: "energy = -0.99871617" in out and err == ""),
+    (["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002", "--a-sequence", "1e-300"], 0,
+     lambda out, err: "E_rel - M = -4.999875e-05" in out and err == ""),
+    (["solve", "--v0", "1e200", "--s0", "1e200", "--a", "0.05"], 1,
+     lambda out, err: out == "" and "invalid input: couplings v0 = 1e+200, s0 = 1e+200" in err),
+    (["solve", "--v0", "0", "--s0", "1e200", "--a", "0.05"], 1,
+     lambda out, err: out == "" and "invalid input: couplings v0 = 0.0, s0 = 1e+200" in err),
     (["wavefunction", *BASE, "--points", "0"], 1,
      lambda out, err: out == "" and "invalid input: points must be >= 2" in err),
     (["wavefunction", *BASE, "--points", "-5"], 1,
@@ -312,7 +330,8 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
     (["potential", "--v0", "nan", "--a", "0.05"], 1,
      lambda out, err: out == "" and "invalid input: strength must be finite" in err),
 ], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row",
-        "solve-tiny-a", "solve-a-overflows", "limits-a-overflows", "wavefunction-0-points",
+        "solve-tiny-a", "solve-a-overflows", "limits-a-overflows", "solve-huge-equal-couplings",
+        "solve-huge-scalar-coupling", "wavefunction-0-points",
         "wavefunction-negative-points", "wavefunction-1-point", "potential-zero-a",
         "potential-negative-a", "potential-nan-v0"])
 def test_rarely_taken_paths(capsys, argv, code, check):

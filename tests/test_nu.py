@@ -1,19 +1,21 @@
 """Canonical-form engine: coefficient identities, quantization residual
-and wavefunction constraints."""
+and the shortcut's wavefunction exponents against their closed forms."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgyukawa import (
-    ConstraintViolation,
     DomainError,
     NegativeDiscriminant,
     NuProblem,
+    ParticleParams,
+    PotentialParams,
+    QuantumNumbers,
     derive_coefficients,
     energy_relation_residual,
-    wavefunction_exponents,
+    map_to_nu,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -67,10 +69,8 @@ def test_positive_p0_gives_negative_raw_c12():
     coeffs = derive_coefficients(NuProblem(1, 1, 1, 1, 0, 0))
     assert coeffs.c8 == 1.0
     assert coeffs.c12 == -1.0
-    exps = wavefunction_exponents(coeffs)
-    # the growing-solution exponent is flagged and replaced by its decaying partner
-    assert exps.c12_substituted
-    assert exps.phi[0] == 1.0
+    # the growing-solution exponent; its decaying partner is positive
+    assert 2 * coeffs.c4 - coeffs.c12 == 1.0
 
 
 @given(
@@ -164,35 +164,40 @@ def test_exponents_for_equal_mixture():
     p0 = eps * eps / (4 * a * a)
     q = (0.2 + E * 0.2) / a
     coeffs = derive_coefficients(NuProblem(1, 1, 1, p0, 2 * p0 + q, p0 + q))
-    exps = wavefunction_exponents(coeffs)
-    assert exps.jacobi[0] == pytest.approx(eps / a, rel=1e-12)
-    assert exps.jacobi[1] == pytest.approx(1.0, rel=1e-10)  # d + 2l - 2 for (l, d) = (0, 3)
-    assert exps.phi[0] == pytest.approx(eps / (2 * a), rel=1e-12)
-    assert exps.c12_substituted
+    assert coeffs.c10 == pytest.approx(eps / a, rel=1e-12)
+    assert coeffs.c11 == pytest.approx(1.0, rel=1e-10)  # d + 2l - 2 for (l, d) = (0, 3)
+    assert coeffs.c12 < 0.0
+    assert 2 * coeffs.c4 - coeffs.c12 == pytest.approx(eps / (2 * a), rel=1e-12)
 
 
-def test_exponent_guards():
-    base = derive_coefficients(NuProblem(1, 1, 1, 0.25, 1.0, 0.5))
-    from dataclasses import replace
-
-    with pytest.raises(ConstraintViolation) as err:
-        wavefunction_exponents(replace(base, c10=-1.5))
-    assert err.value.name == "c10"
-    with pytest.raises(ConstraintViolation) as err:
-        wavefunction_exponents(replace(base, c11=-2.0))
-    assert err.value.name == "c11"
-    with pytest.raises(ConstraintViolation) as err:
-        wavefunction_exponents(replace(base, c13=-0.1))
-    assert err.value.name == "c13"
-    # raw c12 <= 0 whose decaying partner is also <= 0 cannot be repaired
-    with pytest.raises(ConstraintViolation) as err:
-        wavefunction_exponents(replace(base, c4=-2.0, c12=-2.0))
-    assert err.value.name == "c12"
+@given(
+    v0=st.floats(-1.0, 1.0),
+    s0=st.floats(-1.0, 1.0),
+    a=st.floats(0.01, 1.0),
+    energy=st.floats(-0.999, 0.999),
+    n=st.integers(1, 4),
+    l=st.integers(0, 3),
+    d=st.integers(2, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_shortcut_exponents_are_the_closed_forms(v0, s0, a, energy, n, l, d):
+    # the shortcut on the Yukawa mapping gives Jacobi parameters
+    # (c10, c11) = (eps/a, Lambda) and exponents (2c4 - c12, c13) =
+    # (eps/2a, (1 + Lambda)/2), the forms radial_wavefunction uses
+    chan = (d + 2 * l - 2) ** 2 + 4 * (s0 * s0 - v0 * v0)
+    assume(chan >= 0.01)
+    lam = math.sqrt(chan)
+    eps = math.sqrt(1.0 - energy * energy)
+    pp = PotentialParams(v0=v0, s0=s0, a=a)
+    qn = QuantumNumbers(n=n, l=l, d=d)
+    coeffs = derive_coefficients(map_to_nu(pp, ParticleParams(mass=1.0), qn, energy))
+    assert coeffs.c10 == pytest.approx(eps / a, rel=1e-9)
+    assert coeffs.c11 == pytest.approx(lam, rel=1e-9)
+    assert 2 * coeffs.c4 - coeffs.c12 == pytest.approx(eps / (2 * a), rel=1e-9)
+    assert coeffs.c13 == pytest.approx((1 + lam) / 2, rel=1e-9)
 
 
 def test_zero_c3_marks_undefined_entries():
     coeffs = derive_coefficients(NuProblem(1, 1, 0, 0.25, 0, 0))
     assert math.isnan(coeffs.c11)
     assert math.isnan(coeffs.c13)
-    with pytest.raises(ConstraintViolation):
-        wavefunction_exponents(coeffs)

@@ -1,5 +1,7 @@
-"""A one-second traced benchmark run ends with a strict-JSON result line."""
+"""A one-second traced benchmark run ends with a strict-JSON result line
+that reports every per-layer metric BENCHMARK.json names, and no other."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 
 def reject_constant(name):
@@ -20,7 +23,11 @@ def traced_run_result(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
+    # a per-layer function that is missing or no longer loaded drops its metrics
+    assert set(result["metrics"]) == PER_LAYER
+    assert all(math.isfinite(m["value"]) for m in result["metrics"].values())
+    return result
 
 
 def test_traced_oracle_run_ends_with_strict_json_result():

@@ -1,6 +1,7 @@
 """Energy equation, root finder, tables and radial wavefunctions."""
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,14 +92,14 @@ def test_residual_domain_guard(pp_half):
 
 def test_closed_form_equals_four_times_canonical_residual(pp_half):
     # the closed form is an algebraic rearrangement of the canonical-form
-    # quantization relation with a constant factor of 4
+    # quantization relation, multiplied through by 4a
     qn = QuantumNumbers(n=2, l=1, d=4)
     rng = np.random.default_rng(3)
     for E in rng.uniform(-0.999, 0.999, size=100):
         closed = energy_equation_residual(float(E), pp_half, MP, qn)
         problem = map_to_nu(pp_half, MP, qn, float(E))
         canonical = energy_relation_residual(problem, derive_coefficients(problem), qn.n)
-        assert closed == pytest.approx(4.0 * canonical, rel=1e-10, abs=1e-9)
+        assert closed == pytest.approx(4.0 * pp_half.a * canonical, rel=1e-10, abs=1e-9 * pp_half.a)
 
 
 def test_spot_energies(pp_half, pp_plus, pp_minus):
@@ -205,27 +206,16 @@ def test_small_screening_root_survives_consistency_check():
     assert solve_energy(pp, MP, qn).energy == pytest.approx(want, abs=1e-10)
 
 
-def test_tiny_screening_solves_until_the_residual_would_overflow():
-    # the suite turns any RuntimeWarning into an error, so a = 1e-150 also
-    # checks that no term or sign test overflows on the way
-    qn = QuantumNumbers(n=1, l=0, d=3)
-    for branch in ("published", "decaying"):
-        sol = solve_energy(PotentialParams(v0=0.2, s0=0.1, a=1e-150), MP, qn, branch)
-        assert -MP.mass < sol.energy < MP.mass
-        with pytest.raises(DomainError, match="a = 1e-300"):
-            solve_energy(PotentialParams(v0=0.2, s0=0.1, a=1e-300), MP, qn, branch)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="energy_equation_residual loses precision at small a: its terms of order "
-    "(M/a)^2 cancel, and at a = 1e-10 the scanned root is off the closed form by 1.4e-8; "
-    "a closed-form solve_energy should mend it",
-)
 def test_small_screening_energy_matches_closed_form():
-    want = closed_form_energy(0.2, 0.1, 1e-10, MP.mass, 1, 0, 3, "published")
-    sol = solve_energy(PotentialParams(v0=0.2, s0=0.1, a=1e-10), MP, QuantumNumbers(n=1, l=0, d=3))
-    assert sol.energy == pytest.approx(want, abs=1e-10)
+    # the residual has no terms of order (M/a)^2 that could cancel or
+    # overflow; the suite turns any RuntimeWarning into an error, so this
+    # also checks that nothing overflows on the way down to a = 1e-300
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    for a in (1e-6, 1e-10, 1e-150, 1e-300):
+        for branch in ("published", "decaying"):
+            want = closed_form_energy(0.2, 0.1, a, MP.mass, 1, 0, 3, branch)
+            sol = solve_energy(PotentialParams(v0=0.2, s0=0.1, a=a), MP, qn, branch)
+            assert sol.energy == pytest.approx(want, abs=1e-10)
 
 
 def test_unknown_branch_is_rejected(pp_half):
@@ -445,3 +435,6 @@ def test_wavefunction_grid_validation(pp_half):
     for points in (1, 0, -5):
         with pytest.raises(DomainError, match="points must be >= 2"):
             default_radial_grid(sol.epsilon, points)
+    for energy in (-1.0, 1.0):
+        with pytest.raises(DomainError, match="energy must lie in"):
+            radial_wavefunction(replace(sol, energy=energy), pp_half, MP, qn)
