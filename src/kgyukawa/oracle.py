@@ -17,12 +17,16 @@ eigenvalues by Sturm-count bisection.
 The Sturm count is the LDL^T pivot recurrence q_i = (d_i - x) - e2/q_{i-1}
 (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), run on Python
 floats because numpy scalars make each step several times slower.  It
-stops early in the classically forbidden tail: once every later row has
-d_i - x >= 2 sqrt(e2) and the pivot has reached q >= sqrt(e2), each later
-pivot is at least 2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row
-adds to the count.  Only the rows it walks are converted to Python
-floats.  The E-independent part of W(r; E) is built once per grid and
-mode, and only the term linear in E is formed per evaluation.
+walks a memoryview of the shifted diagonal d - x, so a Python float is
+made only for each row it reaches, in one loop over the rows up to the
+last classically allowed one and one over the forbidden tail after it.
+The tail loop stops early: once every later row has d_i - x >= 2 sqrt(e2)
+and the pivot has reached q >= sqrt(e2), each later pivot is at least
+2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row adds to the count.
+The E-independent part of W(r; E) is built once per grid and mode; each
+evaluation of g writes d - x into one preallocated buffer in place, term
+by term in the fixed order (((2(E v0 + M s0) u + quadratic) + centrifugal)
++ 2/h^2) - x, with no new array for the diagonal.
 
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
@@ -30,6 +34,7 @@ serves as its cross-check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional
@@ -49,42 +54,38 @@ _TOL = 1e-12
 _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 # half-width of cross_validate's bracket around the solver energy
 _HALF_WIDTH = 5e-3
-# rows of the forbidden tail the Sturm count converts to Python floats at once
-_TAIL_CHUNK = 128
 
 
-def _sturm_count(diag, e2: float, x: float) -> int:
-    """Number of eigenvalues below x of the symmetric tridiagonal matrix
-    with diagonal diag and squared off-diagonal e2.
+def _sturm_count(shifted, e2: float) -> int:
+    """Number of negative eigenvalues of the symmetric tridiagonal matrix
+    with diagonal shifted (a float64 array: the diagonal minus the shift
+    x) and squared off-diagonal e2, i.e. the count of eigenvalues below x.
 
-    The pivots run on Python floats (``tolist``); x is often a numpy
-    scalar, which would make every pivot one too.  Past the last row with
-    d_i - x < 2 sqrt(e2), a pivot q >= sqrt(e2) bounds every later pivot
-    below by sqrt(e2) > 0, so the loop stops there with the exact count.
+    The pivots run on Python floats, each made from a row of a memoryview
+    of shifted as the loop reaches it; numpy scalars would make every step
+    several times slower.  Past the last row with d_i - x < 2 sqrt(e2), a
+    pivot q >= sqrt(e2) bounds every later pivot below by sqrt(e2) > 0,
+    so the loop over that forbidden tail stops there with the exact count.
     In floating point the bound sags by a few ulps per row, relative to
-    sqrt(e2), so it stays positive for any feasible number of rows.  Only
-    the rows the loop walks are converted: the allowed region at once, the
-    forbidden tail _TAIL_CHUNK rows at a time.
+    sqrt(e2), so it stays positive for any feasible number of rows.
     """
-    shifted = diag - x
     root = math.sqrt(e2)
-    allowed = np.flatnonzero(shifted < 2.0 * root)
+    allowed = (shifted < 2.0 * root).nonzero()[0]
     # first row of the forbidden tail; row 0 is never checked
     tail = int(allowed[-1]) + 1 if allowed.size else 1
-    rows = iter(shifted[:tail].tolist())
-    q = next(rows)
-    count = int(q < 0.0)
-    for s in rows:
+    rows = memoryview(shifted)
+    # q_{-1} = inf makes the first pivot q_0 = d_0 - x exactly
+    q, count = math.inf, 0
+    for s in rows[:tail]:
         q = s - e2 / (q or 1e-300)
         if q < 0.0:
             count += 1
-    for start in range(tail, shifted.shape[0], _TAIL_CHUNK):
-        for s in shifted[start:start + _TAIL_CHUNK].tolist():
-            if q >= root:
-                return count
-            q = s - e2 / (q or 1e-300)
-            if q < 0.0:
-                count += 1
+    for s in rows[tail:]:
+        if q >= root:
+            return count
+        q = s - e2 / (q or 1e-300)
+        if q < 0.0:
+            count += 1
     return count
 
 
@@ -99,6 +100,10 @@ class RadialGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise DomainError(f"points must be an integer, got {self.points!r}") from None
         if self.points < 100:
             raise DomainError(f"points must be >= 100, got {self.points}")
 
@@ -136,12 +141,13 @@ def default_oracle_grid(epsilon_estimate: float, points: int = 16000) -> RadialG
 
 
 def _potential(r, pp, mp, qn, mode):
-    """W(r; E) in -R'' + W R = (E^2 - M^2) R, as a function of E: the
-    Yukawa couplings V = v0*u and S = s0*u at the frozen energy, from
-    (E - V)^2 - (M + S)^2, plus the centrifugal term.  Mode "exact" takes
-    the bare u = -exp(-ar)/r and 1/r^2; mode "approximated" takes their
-    exponential-rational approximants, i.e. the equation the quantization
-    path solves.  The E-independent terms are built once, here."""
+    """W(r; E) in -R'' + W R = (E^2 - M^2) R, as w(E, out), which writes it
+    into the array out: the Yukawa couplings V = v0*u and S = s0*u at the
+    frozen energy, from (E - V)^2 - (M + S)^2, plus the centrifugal term.
+    Mode "exact" takes the bare u = -exp(-ar)/r and 1/r^2; mode
+    "approximated" takes their exponential-rational approximants, i.e. the
+    equation the quantization path solves.  The E-independent terms are
+    built once, here."""
     if mode == "exact":
         u = yukawa(r, 1.0, pp.a)
         centrifugal = 1.0 / np.asarray(r, dtype=float) ** 2
@@ -153,8 +159,10 @@ def _potential(r, pp, mp, qn, mode):
     quadratic = (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
     centrifugal = qn.centrifugal_constant() * centrifugal
 
-    def w(E):
-        return 2.0 * (E * pp.v0 + mp.mass * pp.s0) * u + quadratic + centrifugal
+    def w(E, out):
+        np.multiply(u, 2.0 * (E * pp.v0 + mp.mass * pp.s0), out=out)
+        np.add(out, quadratic, out=out)
+        return np.add(out, centrifugal, out=out)
 
     return w
 
@@ -177,20 +185,23 @@ def effective_ode_coefficient(
     m = mp.mass
     if not (-m < E < m):
         raise DomainError(f"E must lie in (-M, M), got {E}")
-    out = E * E - m * m - _potential(r, pp, mp, qn, mode)(E)
+    out = E * E - m * m - _potential(r, pp, mp, qn, mode)(E, np.empty(np.shape(r)))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _tridiag(pp, mp, qn, grid: RadialGrid, mode):
-    """Diagonal of the finite-difference matrix as a function of the frozen
-    energy, and the square of the constant off-diagonal -1/h^2."""
+    """The finite-difference matrix: shifted(E, x), its diagonal at the
+    frozen energy E minus x, written into one buffer that every call
+    overwrites, and the square of the constant off-diagonal -1/h^2."""
     h = grid.spacing
     w = _potential(grid.nodes()[1:-1], pp, mp, qn, mode)
+    out = np.empty(grid.points - 2)
 
-    def diag(E):
-        return 2.0 / h**2 + w(E)
+    def shifted(E, x):
+        np.add(w(E, out), 2.0 / h**2, out=out)
+        return np.subtract(out, x, out=out)
 
-    return diag, 1.0 / h**4
+    return shifted, 1.0 / h**4
 
 
 def eigenvalue_k(
@@ -206,26 +217,26 @@ def eigenvalue_k(
     Dirichlet conditions at both grid ends, by Sturm-count bisection."""
     if k < 0:
         raise DomainError(f"eigenvalue index must be >= 0, got {k}")
-    diag_of, e2 = _tridiag(pp, mp, qn, grid, mode)
-    diag = diag_of(E_frozen)
+    shifted, e2 = _tridiag(pp, mp, qn, grid, mode)
+    diag = shifted(E_frozen, 0.0)
     if k >= diag.shape[0]:
         raise DomainError(f"index {k} out of range for {diag.shape[0]} interior nodes")
     e_abs = math.sqrt(e2)
     lo = float(np.min(diag)) - 2.0 * e_abs
     hi = float(np.max(diag)) + 2.0 * e_abs
     # no eigenvalue lies below the Gershgorin bound lo, so the count there is 0
-    root, _ = bisect(lambda x: _sturm_count(diag, e2, x) - k - 0.5, lo, hi, -k - 0.5, 1e-14)
+    root, _ = bisect(lambda x: _sturm_count(diag - x, e2) - k - 0.5, lo, hi, -k - 0.5, 1e-14)
     return root
 
 
 def _closure(pp, mp, qn, grid, mode, k):
     """g(E): k + 1/2 minus the count of eigenvalues below E^2 - M^2; never
     zero, with the sign of lambda_k(E) - (E^2 - M^2)."""
-    diag, e2 = _tridiag(pp, mp, qn, grid, mode)
+    shifted, e2 = _tridiag(pp, mp, qn, grid, mode)
     m = mp.mass
 
     def g(E: float) -> float:
-        return k + 0.5 - _sturm_count(diag(E), e2, E * E - m * m)
+        return k + 0.5 - _sturm_count(shifted(E, E * E - m * m), e2)
 
     return g
 

@@ -6,6 +6,7 @@ screening parameter in fm^-1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, OutOfDomain
@@ -48,13 +49,20 @@ class ParticleParams:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial label n >= 1, orbital l >= 0 and spatial dimension d >= 2."""
+    """Radial label n >= 1, orbital l >= 0 and spatial dimension d >= 2,
+    each an integer (Python or numpy)."""
 
     n: int
     l: int
     d: int
 
     def __post_init__(self):
+        for name in ("n", "l", "d"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if self.l < 0:

@@ -23,13 +23,13 @@ from kgyukawa import (
 )
 from kgyukawa.oracle import (
     _FINE_STEPS,
-    _TAIL_CHUNK,
     _closure,
     _closure_root,
     _fine_root,
     _sturm_count,
 )
 from kgyukawa.rootfind import bisect
+from closed_form import closed_form_energy
 from reference_scan import reference_brackets
 
 MP = ParticleParams(mass=1.0)
@@ -49,6 +49,10 @@ def test_grid_validation():
         RadialGrid(r_min=1.0, r_max=0.5, points=200)
     with pytest.raises(DomainError):
         RadialGrid(r_min=0.1, r_max=1.0, points=50)
+    for points in (150.5, 200.0):
+        with pytest.raises(DomainError, match="points must be an integer"):
+            RadialGrid(r_min=1e-4, r_max=400.0, points=points)
+    assert RadialGrid(r_min=1e-4, r_max=400.0, points=np.int64(200)).nodes().shape == (200,)
     grid = RadialGrid(r_min=0.0001, r_max=400.0, points=16000)
     assert grid.spacing == pytest.approx((400.0 - 0.0001) / 15999)
     assert grid.doubled().points == 32000
@@ -181,13 +185,13 @@ def allowed_then_forbidden(draw):
 @given(case=allowed_then_forbidden())
 def test_sturm_count_early_exit_matches_full_loop(case):
     diag, e2, x = case
-    assert _sturm_count(diag, e2, x) == reference_sturm_count(diag, e2, x)
+    assert _sturm_count(diag - x, e2) == reference_sturm_count(diag, e2, x)
 
 
 @st.composite
 def long_forbidden_tail(draw):
-    """(diag, e2, x): one allowed row, then up to five chunks of forbidden
-    rows with d_i barely above 2 sqrt(e2).  The first pivot sits near the
+    """(diag, e2, x): one allowed row, then up to 640 forbidden rows with
+    d_i barely above 2 sqrt(e2).  The first pivot sits near the
     lower fixed point of q -> d - e2/q, so the pivot creeps up to sqrt(e2),
     or down through zero, only after hundreds of rows, and often not before
     the last row.  A small shift moves the tail's start into those rows."""
@@ -195,7 +199,7 @@ def long_forbidden_tail(draw):
     root = math.sqrt(e2)
     excess = 10.0 ** draw(st.floats(-7.0, -3.0))
     first = 1.0 - draw(st.floats(0.5, 1.5)) * math.sqrt(2.0 * excess)
-    rows = draw(st.integers(1, 5 * _TAIL_CHUNK))
+    rows = draw(st.integers(1, 640))
     jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(rows)
     diag = root * np.concatenate([[first], 2.0 + excess * (0.5 + jitter)])
     x = root * draw(st.sampled_from([0.0, 1e-4, -1e-4])) * draw(st.floats(0.0, 1.0))
@@ -206,16 +210,18 @@ def long_forbidden_tail(draw):
 @given(case=long_forbidden_tail())
 def test_sturm_count_matches_full_loop_across_chunks(case):
     diag, e2, x = case
-    assert _sturm_count(diag, e2, x) == reference_sturm_count(diag, e2, x)
+    assert _sturm_count(diag - x, e2) == reference_sturm_count(diag, e2, x)
 
 
-def chunked_walk(rows, lift=None, dip=None):
+def tail_walk(rows, lift=None, dip=None):
     """e2 = 1: rows 0 and 1 are allowed and leave the pivot at exactly 0.5
     (one negative pivot); every later row is forbidden, and d = 2.5 keeps
-    the pivot at exactly 0.5.  d = 3.5 at row lift raises it to 1.5 >=
-    sqrt(e2), so the walk ends on the row after; d = 2 at row dip makes it
-    exactly 0, so the next row's pivot is negative (one more count) and
-    the walk ends two rows later.  Row 2 starts the first chunk."""
+    the pivot at exactly 0.5.  d = 3.5 at row lift raises it to at least
+    1.5 >= sqrt(e2), so the walk ends on that row; d = 2 at row dip makes
+    it exactly 0, so the next row's pivot is negative (one more count),
+    the one after is back at 2.5 and the walk ends there.  Row 2 starts
+    the forbidden tail, or row 1 when lift or dip puts a forbidden value
+    there."""
     diag = np.full(rows, 2.5)
     diag[:2] = -1.0, -0.5
     for row, value in ((lift, 3.5), (dip, 2.0)):
@@ -224,33 +230,44 @@ def chunked_walk(rows, lift=None, dip=None):
     return diag
 
 
-TAIL = 2
-EDGE = TAIL + _TAIL_CHUNK  # first row of the second chunk
-END = TAIL + 2 * _TAIL_CHUNK  # one past the last row of the second chunk
+TAIL = 2  # first row of the forbidden tail
+DEEP = 130  # a row deep in the tail
+END = 258
 
 
 @pytest.mark.parametrize("rows, lift, dip, want", [
-    # the walk ends on the last row of the first chunk, on the first row
-    # of the second, or one row later
-    (END, EDGE - 2, None, 1),
-    (END, EDGE - 1, None, 1),
-    (END, EDGE, None, 1),
-    # the zero pivot and the negative one straddle the chunk boundary
-    (END, None, EDGE - 2, 2),
-    (END, None, EDGE - 1, 2),
-    (END, None, EDGE, 2),
-    # the zero pivot on the first forbidden row, where the chunks start
+    # the walk ends on the first tail row, on the row after, or on the row
+    # that made the last allowed row forbidden and so starts the tail
+    (END, TAIL, None, 1),
+    (END, TAIL + 1, None, 1),
+    (END, TAIL - 1, None, 1),
+    # the zero pivot falls on the first tail row, or the one after, and
+    # the negative pivot on the next
     (END, None, TAIL, 2),
-    # the walk reaches the last row, which ends a chunk or starts one
+    (END, None, TAIL + 1, 2),
+    # the walk ends, or the zero pivot falls, deep in the tail
+    (END, DEEP - 2, None, 1),
+    (END, DEEP - 1, None, 1),
+    (END, DEEP, None, 1),
+    (END, None, DEEP - 2, 2),
+    (END, None, DEEP - 1, 2),
+    (END, None, DEEP, 2),
+    # the walk reaches the last row
     (END, None, None, 1),
     (END + 1, None, None, 1),
     (END, None, END - 2, 2),
     (END + 1, None, END - 1, 2),
 ])
 def test_sturm_count_chunk_boundaries(rows, lift, dip, want):
-    diag = chunked_walk(rows, lift, dip)
+    diag = tail_walk(rows, lift, dip)
     assert reference_sturm_count(diag, 1.0, 0.0) == want
-    assert _sturm_count(diag, 1.0, 0.0) == want
+    assert _sturm_count(diag, 1.0) == want
+    # the eigenvalue next to 0 shrinks about fourfold per row the zero pivot
+    # lies past the tail's start: 0.018 one row past, 3e-17 deep in the
+    # tail, inside eigvalsh's rounding, where the 1e-300 guard decides its
+    # sign in both loops
+    if dip is None or dip <= TAIL + 1:
+        assert want == int(np.sum(dense_eigenvalues(diag, 1.0) < 0.0))
 
 
 @pytest.mark.parametrize("diag, x, want", [
@@ -264,7 +281,7 @@ def test_sturm_count_chunk_boundaries(rows, lift, dip, want):
 def test_sturm_count_edge_cases(diag, x, want):
     diag = np.array(diag)
     assert reference_sturm_count(diag, 1.0, x) == want
-    assert _sturm_count(diag, 1.0, x) == want
+    assert _sturm_count(diag - x, 1.0) == want
     assert want == int(np.sum(dense_eigenvalues(diag, 1.0) < x))
 
 
@@ -283,8 +300,47 @@ def test_oracle_energy_unchanged_by_the_early_exit(monkeypatch, beta):
 
     modes = ("approximated", "exact")
     fast = [run(mode) for mode in modes]
-    monkeypatch.setattr("kgyukawa.oracle._sturm_count", reference_sturm_count)
+    monkeypatch.setattr("kgyukawa.oracle._sturm_count",
+                        lambda shifted, e2: reference_sturm_count(shifted, e2, 0.0))
     assert [run(mode) for mode in modes] == fast
+
+
+def perfbench_oracle_operation(beta, mode):
+    """oracle_energy as the perfbench oracle workload calls it: the
+    closed-form decaying-branch energy +-5e-3, an 11-point scan."""
+    pp = PotentialParams.from_beta(v0=0.2, beta=beta, a=0.05)
+    center = closed_form_energy(0.2, beta * 0.2, 0.05, MP.mass, 1, 0, 3, "decaying")
+    return oracle_energy(pp, MP, QuantumNumbers(n=1, l=0, d=3), oracle_grid(2000), mode,
+                         eigen_index=1, bracket=(center - 5e-3, center + 5e-3), scan_points=11)
+
+
+@pytest.mark.parametrize("beta, mode, energy, richardson", [
+    (0.5, "approximated", "0x1.ff49ec9d679cap-1", "0x1.ff488a15050e9p-1"),
+    (0.5, "exact", "0x1.fef01d1e1c3c8p-1", "0x1.feeea1353ac2ep-1"),
+    (1.0, "approximated", "0x1.fd767ef72b904p-1", "0x1.fd75aa6c3990ap-1"),
+    (1.0, "exact", "0x1.fcf3960eb861bp-1", "0x1.fcf2bf1cf4f61p-1"),
+])
+def test_perfbench_oracle_outputs_of_record(beta, mode, energy, richardson):
+    # bit for bit: a faster Sturm count or diagonal must not move them
+    res = perfbench_oracle_operation(beta, mode)
+    assert (res.energy.hex(), res.richardson_estimate.hex()) == (energy, richardson)
+
+
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+def test_closure_values_do_not_depend_on_evaluation_order(mode):
+    # every evaluation overwrites one diagonal buffer; a stale row would
+    # make g depend on the energy evaluated before
+    pp = PotentialParams.from_beta(v0=0.2, beta=0.5, a=0.05)
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    center = closed_form_energy(0.2, 0.1, 0.05, MP.mass, 1, 0, 3, "decaying")
+    Es = np.linspace(center - 5e-3, MP.mass * (1.0 - 1e-9), 11).tolist()
+    g = _closure(pp, MP, qn, oracle_grid(2000), mode, 1)
+    forward = [g(E) for E in Es]
+    backward = [g(E) for E in reversed(Es)]
+    assert backward[::-1] == forward
+    assert len(set(forward)) == 2  # the scan crosses the closure root
+    fresh = [_closure(pp, MP, qn, oracle_grid(2000), mode, 1)(E) for E in Es]
+    assert fresh == forward
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
@@ -298,9 +354,9 @@ def test_perfbench_oracle_operation_sturm_counts(monkeypatch, beta, mode):
     ref = solve_energy(pp, MP, qn, branch="decaying").energy
     calls = []
 
-    def counting(diag, e2, x):
-        calls.append(x)
-        return _sturm_count(diag, e2, x)
+    def counting(shifted, e2):
+        calls.append(e2)
+        return _sturm_count(shifted, e2)
 
     monkeypatch.setattr("kgyukawa.oracle._sturm_count", counting)
     oracle_energy(pp, MP, qn, oracle_grid(2000), mode, eigen_index=1,
@@ -337,17 +393,22 @@ def test_fine_root_search_is_clipped_below_mass(monkeypatch):
     root = res.energy
     edge = MP.mass * (1.0 - 1e-9)
     assert edge - _FINE_STEPS[0] < root < edge
-    shifts = []
+    energies = []
 
-    def recording(diag, e2, x):
-        shifts.append(x)
-        return _sturm_count(diag, e2, x)
+    def recording(*args):
+        g = _closure(*args)
 
-    monkeypatch.setattr("kgyukawa.oracle._sturm_count", recording)
+        def g_recorded(E):
+            energies.append(E)
+            return g(E)
+
+        return g_recorded
+
+    monkeypatch.setattr("kgyukawa.oracle._closure", recording)
     fine = _fine_root(pp, MP, qn, grid.doubled(), "approximated", 1, root)
     assert root < fine < edge
-    # x = E^2 - M^2: the search steps up to the clipped edge, not past it
-    assert max(shifts) == edge * edge - MP.mass**2
+    # the search steps up to the clipped edge, not past it
+    assert max(energies) == edge
 
 
 def test_oracle_names_doubled_grid_when_fine_root_is_far(pp_plus):

@@ -1,4 +1,5 @@
 """Parameter containers and quantum-number transformations."""
+import numpy as np
 import pytest
 
 from kgyukawa import (
@@ -39,6 +40,20 @@ def test_quantum_number_bounds():
         QuantumNumbers(n=1, l=-1, d=3)
     with pytest.raises(DomainError):
         QuantumNumbers(n=1, l=0, d=1)
+
+
+@pytest.mark.parametrize("n, l, d", [(1.5, 0, 3), (1, 0.5, 3), (1, 0, 3.0), (1.0, 0, 3)])
+def test_quantum_numbers_must_be_integers(n, l, d):
+    # the quantization condition would solve a half-integer n or l to an
+    # energy between the table's
+    with pytest.raises(DomainError, match="must be an integer"):
+        QuantumNumbers(n=n, l=l, d=d)
+
+
+def test_quantum_numbers_accept_numpy_integers():
+    qn = QuantumNumbers(n=np.int64(2), l=np.int32(1), d=np.uint8(3))
+    assert qn.kappa() == 3
+    assert qn.centrifugal_constant() == 2.0
 
 
 def test_centrifugal_constant_reduces_to_l_l_plus_one():
