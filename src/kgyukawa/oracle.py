@@ -23,10 +23,16 @@ last classically allowed one and one over the forbidden tail after it.
 The tail loop stops early: once every later row has d_i - x >= 2 sqrt(e2)
 and the pivot has reached q >= sqrt(e2), each later pivot is at least
 2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row adds to the count.
-The E-independent part of W(r; E) is built once per grid and mode; each
-evaluation of g writes d - x into one preallocated buffer in place, term
-by term in the fixed order (((2(E v0 + M s0) u + quadratic) + centrifugal)
-+ 2/h^2) - x, with no new array for the diagonal.
+It makes one comparison per row and reads only at the exit whether the
+pivot before it was negative; :func:`_sturm_count` gives the argument and
+its assumption, that sqrt(e2) is many ulps of every tail row.  A zero
+pivot is replaced by 1e-300 in an exception handler, not tested for in
+every row.  The E-independent part of W(r; E) is built once per grid and
+mode, without the quadratic and centrifugal terms when their coefficient
+is exactly 0; each evaluation of g writes d - x into one preallocated
+buffer in place, term by term in the fixed order (((2(E v0 + M s0) u +
+quadratic) + centrifugal) + 2/h^2) - x, with no new array for the
+diagonal.
 
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
@@ -56,6 +62,19 @@ _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 _HALF_WIDTH = 5e-3
 
 
+def _integer(value, name: str, least: int) -> int:
+    """operator.index(value), which numpy integers pass; a value that is
+    not an integer (a float, a string, None) or is below least is a
+    DomainError."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if k < least:
+        raise DomainError(f"{name} must be >= {least}, got {k}")
+    return k
+
+
 def _sturm_count(shifted, e2: float) -> int:
     """Number of negative eigenvalues of the symmetric tridiagonal matrix
     with diagonal shifted (a float64 array: the diagonal minus the shift
@@ -63,30 +82,51 @@ def _sturm_count(shifted, e2: float) -> int:
 
     The pivots run on Python floats, each made from a row of a memoryview
     of shifted as the loop reaches it; numpy scalars would make every step
-    several times slower.  Past the last row with d_i - x < 2 sqrt(e2), a
-    pivot q >= sqrt(e2) bounds every later pivot below by sqrt(e2) > 0,
-    so the loop over that forbidden tail stops there with the exact count.
-    In floating point the bound sags by a few ulps per row, relative to
-    sqrt(e2), so it stays positive for any feasible number of rows.
+    several times slower.  Every row s past the last one below 2 sqrt(e2)
+    (the forbidden tail) has s >= 2 sqrt(e2), so there a pivot
+    q >= sqrt(e2) keeps every later pivot >= sqrt(e2) > 0 and the walk
+    stops with the exact count; it stops before the tail when the last
+    allowed pivot is >= sqrt(e2) or negative.  In the tail a pivot in
+    (0, sqrt(e2)) makes the next one < s - sqrt(e2) and a negative one
+    makes it >= s, so only the pivot before the exit can be negative, and
+    it was exactly when the exit pivot is >= s: the tail loop compares
+    each pivot with sqrt(e2) only.  Both hold in floating point while
+    sqrt(e2) is many ulps of every tail row: the exit bound then sags by a
+    few ulps per row, relative to sqrt(e2), and stays positive for any
+    feasible number of rows, and s - e2/q with q in (0, sqrt(e2)) never
+    rounds up to s.  A zero pivot is replaced by 1e-300 in a
+    ZeroDivisionError handler, outside the per-row expression, and the
+    walk resumes on the next row.
     """
     root = math.sqrt(e2)
     allowed = (shifted < 2.0 * root).nonzero()[0]
     # first row of the forbidden tail; row 0 is never checked
     tail = int(allowed[-1]) + 1 if allowed.size else 1
     rows = memoryview(shifted)
+    head, forbidden = iter(rows[:tail]), iter(rows[tail:])
     # q_{-1} = inf makes the first pivot q_0 = d_0 - x exactly
     q, count = math.inf, 0
-    for s in rows[:tail]:
-        q = s - e2 / (q or 1e-300)
-        if q < 0.0:
-            count += 1
-    for s in rows[tail:]:
-        if q >= root:
-            return count
-        q = s - e2 / (q or 1e-300)
-        if q < 0.0:
-            count += 1
-    return count
+    while True:
+        try:
+            for s in head:
+                q = s - e2 / q
+                if q < 0.0:
+                    count += 1
+            break
+        except ZeroDivisionError:
+            q = s - e2 / 1e-300
+            count += q < 0.0
+    if q >= root or q < 0.0:
+        return count
+    while True:
+        try:
+            for s in forbidden:
+                q = s - e2 / q
+                if q >= root:
+                    return count + (q >= s)
+            return count + (q < 0.0)
+        except ZeroDivisionError:
+            q = s - e2 / 1e-300
 
 
 @dataclass(frozen=True)
@@ -98,14 +138,9 @@ class RadialGrid:
     points: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        try:
-            operator.index(self.points)
-        except TypeError:
-            raise DomainError(f"points must be an integer, got {self.points!r}") from None
-        if self.points < 100:
-            raise DomainError(f"points must be >= 100, got {self.points}")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise DomainError(f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
+        _integer(self.points, "points", 100)
 
     @property
     def spacing(self) -> float:
@@ -156,13 +191,21 @@ def _potential(r, pp, mp, qn, mode):
         centrifugal = centrifugal_approx(r, pp.a)
     else:
         raise DomainError(f"mode must be 'exact' or 'approximated', got {mode!r}")
-    quadratic = (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
-    centrifugal = qn.centrifugal_constant() * centrifugal
+    # a term whose coefficient is exactly 0 adds +-0.0, which changes no
+    # entry of the matrix's diagonal: the 2/h^2 added after it erases the
+    # sign of a zero
+    quadratic, constant = pp.s0 * pp.s0 - pp.v0 * pp.v0, qn.centrifugal_constant()
+    terms = []
+    if quadratic != 0.0:
+        terms.append(quadratic * u * u)
+    if constant != 0.0:
+        terms.append(constant * centrifugal)
 
     def w(E, out):
         np.multiply(u, 2.0 * (E * pp.v0 + mp.mass * pp.s0), out=out)
-        np.add(out, quadratic, out=out)
-        return np.add(out, centrifugal, out=out)
+        for term in terms:
+            np.add(out, term, out=out)
+        return out
 
     return w
 
@@ -214,9 +257,9 @@ def eigenvalue_k(
     k: int,
 ) -> float:
     """k-th eigenvalue (k = 0 lowest) of -d^2/dr^2 + W(r; E_frozen) with
-    Dirichlet conditions at both grid ends, by Sturm-count bisection."""
-    if k < 0:
-        raise DomainError(f"eigenvalue index must be >= 0, got {k}")
+    Dirichlet conditions at both grid ends, by Sturm-count bisection.
+    k is a non-negative integer (numpy integers included)."""
+    k = _integer(k, "k", 0)
     shifted, e2 = _tridiag(pp, mp, qn, grid, mode)
     diag = shifted(E_frozen, 0.0)
     if k >= diag.shape[0]:
@@ -224,8 +267,10 @@ def eigenvalue_k(
     e_abs = math.sqrt(e2)
     lo = float(np.min(diag)) - 2.0 * e_abs
     hi = float(np.max(diag)) + 2.0 * e_abs
+    buf = np.empty_like(diag)
     # no eigenvalue lies below the Gershgorin bound lo, so the count there is 0
-    root, _ = bisect(lambda x: _sturm_count(diag - x, e2) - k - 0.5, lo, hi, -k - 0.5, 1e-14)
+    root, _ = bisect(lambda x: _sturm_count(np.subtract(diag, x, out=buf), e2) - k - 0.5,
+                     lo, hi, -k - 0.5, 1e-14)
     return root
 
 
@@ -303,14 +348,14 @@ def oracle_energy(
     Bisects the sign of g(E) = lambda_k(E) - (E^2 - M^2) on the given
     bracket (or on a coarse scan of (-M, M) when none is given) and
     Richardson-extrapolates against the doubled grid, whose root is
-    sought outward from the coarse one, at most 1e-4 away from
-    it.  eigen_index defaults to n - 1, pairing the node ordering with
-    the radial label; when the pairing (or the bracket) is wrong, or the
-    doubled grid has no root next to the coarse one, this raises
-    :class:`NoRootInBracket` rather than silently reindexing or pairing
-    different roots.
+    sought outward from the coarse one, at most 1e-4 away from it.
+    eigen_index, a non-negative integer, defaults to n - 1, pairing the
+    node ordering with the radial label; when the pairing (or the
+    bracket) is wrong, or the doubled grid has no root next to the coarse
+    one, this raises :class:`NoRootInBracket` rather than silently
+    reindexing or pairing different roots.
     """
-    k = qn.n - 1 if eigen_index is None else eigen_index
+    k = qn.n - 1 if eigen_index is None else _integer(eigen_index, "eigen_index", 0)
     root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points)
 
     fine = grid.doubled()

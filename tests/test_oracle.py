@@ -27,7 +27,9 @@ from kgyukawa.oracle import (
     _closure_root,
     _fine_root,
     _sturm_count,
+    _tridiag,
 )
+from kgyukawa.potentials import approx_yukawa, centrifugal_approx, yukawa
 from kgyukawa.rootfind import bisect
 from closed_form import closed_form_energy
 from reference_scan import reference_brackets
@@ -49,6 +51,10 @@ def test_grid_validation():
         RadialGrid(r_min=1.0, r_max=0.5, points=200)
     with pytest.raises(DomainError):
         RadialGrid(r_min=0.1, r_max=1.0, points=50)
+    # an infinite r_max made nodes() return [nan, inf, ...]
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="need 0 < r_min < r_max < inf"):
+            RadialGrid(r_min=1e-4, r_max=r_max, points=200)
     for points in (150.5, 200.0):
         with pytest.raises(DomainError, match="points must be an integer"):
             RadialGrid(r_min=1e-4, r_max=400.0, points=points)
@@ -134,6 +140,29 @@ def test_eigenvalue_index_guards():
         eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", -1)
     with pytest.raises(DomainError):
         eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", 200)
+    # a fractional index returned a number between two eigenvalues
+    for k in (1.5, 1.0, "1", None):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", k)
+    assert (eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", np.int64(1))
+            == eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", 1))
+
+
+def test_oracle_eigen_index_guards(pp_plus):
+    # a fractional index bisected onto an exact zero of g and blamed the
+    # doubled grid; a negative one found no root
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    grid = oracle_grid(2000)
+    with pytest.raises(DomainError, match="eigen_index must be an integer, got 1.5"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=1.5)
+    with pytest.raises(DomainError, match="eigen_index must be >= 0, got -1"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=-1)
+    ref = solve_energy(pp_plus, MP, qn, branch="decaying").energy
+    runs = [oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=k,
+                          bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
+            for k in (1, np.int64(1))]
+    assert runs[0] == runs[1]
+    assert type(runs[1].eigen_index) is int
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +286,8 @@ END = 258
     (END + 1, None, None, 1),
     (END, None, END - 2, 2),
     (END + 1, None, END - 1, 2),
+    # a zero pivot on the last row
+    (END, None, END - 1, 1),
 ])
 def test_sturm_count_chunk_boundaries(rows, lift, dip, want):
     diag = tail_walk(rows, lift, dip)
@@ -277,12 +308,75 @@ def test_sturm_count_chunk_boundaries(rows, lift, dip, want):
     ([0.5, -1.0, 1.5, 0.0, 1.9, -0.3], 0.0, 3),
     # every row forbidden
     ([2.0, 3.0, 2.5, 4.0, 2.0], 0.0, 0),
+    # q_1 = 1 - 1/0.5 = -1 on the last allowed row: the walk ends before
+    # the tail, whose first pivot would be 4
+    ([0.5, 1.0, 3.0, 3.0, 3.0], 0.0, 1),
+    # tail pivots 0.5, 0.25 and -1.5 on the last row, where the walk ends
+    # with no exit
+    ([0.5, 2.5, 2.25, 2.5], 0.0, 1),
+    # tail pivots 0.5 and an exact 0 (guarded to 1e-300), then -1e300 and
+    # 2.5 + 1e-300, which equals s = 2.5 exactly and ends the walk
+    ([0.5, 2.5, 2.0, 2.5, 2.5], 0.0, 1),
 ])
 def test_sturm_count_edge_cases(diag, x, want):
     diag = np.array(diag)
     assert reference_sturm_count(diag, 1.0, x) == want
     assert _sturm_count(diag - x, 1.0) == want
     assert want == int(np.sum(dense_eigenvalues(diag, 1.0) < x))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+def test_sturm_count_on_the_perfbench_matrices(monkeypatch, beta, mode):
+    # every shifted diagonal that a perfbench oracle operation counts, on
+    # both grids: the long near-eigenvalue tails that the strategies above
+    # only imitate
+    recorded = []
+
+    def recording(*args):
+        shifted, e2 = _tridiag(*args)
+
+        def shifted_recorded(E, x):
+            diag = shifted(E, x)
+            recorded.append((diag.copy(), e2))
+            return diag
+
+        return shifted_recorded, e2
+
+    monkeypatch.setattr("kgyukawa.oracle._tridiag", recording)
+    perfbench_oracle_operation(beta, mode)
+    assert {diag.size for diag, _ in recorded} == {1998, 3998}
+    for diag, e2 in recorded:
+        assert _sturm_count(diag, e2) == reference_sturm_count(diag, e2, 0.0)
+        # the exit arguments need sqrt(e2) to be many ulps of every row
+        assert np.spacing(diag.max()) < 1e-9 * math.sqrt(e2)
+
+
+@pytest.mark.parametrize("mode", ["approximated", "exact"])
+@pytest.mark.parametrize("s0, l", [
+    # s0^2 = v0^2 and a zero centrifugal constant: the diagonal skips two
+    # terms of +0.0
+    (0.2, 0),
+    # both terms present, each added in the full sum's order
+    (0.1, 1),
+])
+def test_diagonal_is_the_full_five_term_sum(mode, s0, l):
+    pp = PotentialParams(v0=0.2, s0=s0, a=0.05)
+    qn = QuantumNumbers(n=1, l=l, d=3)
+    grid = oracle_grid(2000)
+    r = grid.nodes()[1:-1]
+    if mode == "exact":
+        u, centrifugal = yukawa(r, 1.0, pp.a), 1.0 / r**2
+    else:
+        u, centrifugal = approx_yukawa(r, 1.0, pp.a), centrifugal_approx(r, pp.a)
+    quadratic = (pp.s0 * pp.s0 - pp.v0 * pp.v0) * u * u
+    centrifugal = qn.centrifugal_constant() * centrifugal
+    shifted, _ = _tridiag(pp, MP, qn, grid, mode)
+    for E in (-0.9, 0.0, 0.995):
+        x = E * E - MP.mass**2
+        full = (((2.0 * (E * pp.v0 + MP.mass * pp.s0) * u + quadratic) + centrifugal)
+                + 2.0 / grid.spacing**2) - x
+        assert shifted(E, x).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
