@@ -25,6 +25,7 @@ from .errors import (
     NonFinite,
     NormalizationFailure,
     OutOfDomain,
+    _finite,
 )
 from .limits import NonRelParams, coulomb_energy, nonrel_energy, nonrel_limit_of_relativistic
 from .oracle import cross_validate
@@ -44,8 +45,11 @@ EXIT_NO_SOLUTION = 2
 EXIT_NUMERIC_FAILURE = 3
 
 
-def fmt_energy(x: float) -> str:
-    """Energies print with 8 decimal places (table convention)."""
+def fmt_energy(x: Optional[float]) -> str:
+    """Energies print with 8 decimal places (table convention); a missing
+    one prints empty."""
+    if x is None:
+        return ""
     return f"{x:.8f}"
 
 
@@ -54,6 +58,37 @@ def fmt_num(x: Optional[float]) -> str:
     if x is None:
         return ""
     return f"{x:.9g}"
+
+
+def _as_is(x):
+    return x
+
+
+# Each command's fields in output order, with the formatter that prints
+# each one in CSV and text output.
+SOLVE_FIELDS = {"energy": fmt_energy, "epsilon": fmt_energy, "residual": fmt_num,
+                "iterations": _as_is}
+TABLE_COLUMNS = {"dim": _as_is, "n": _as_is, "l": _as_is, "energy": fmt_energy,
+                 "residual": fmt_num, "status": _as_is}
+DEGENERACY_COLUMNS = {"dim": _as_is, "n": _as_is, "l": _as_is, "direction": _as_is,
+                      "partner_dim": _as_is, "partner_l": _as_is, "energy": fmt_energy,
+                      "partner_energy": fmt_energy, "delta": fmt_num}
+WAVEFUNCTION_COLUMNS = {"r": fmt_num, "R": fmt_num}
+POTENTIAL_COLUMNS = {"r": fmt_num, "exact": fmt_num, "approx": fmt_num, "abs_err": fmt_num,
+                     "rel_err": fmt_num}
+ORACLE_COLUMNS = {"mode": _as_is, "e_solver": fmt_energy, "status": _as_is,
+                  "eigen_index": _as_is, "e_oracle": fmt_energy, "richardson": fmt_energy,
+                  "delta": fmt_num, "nearest_root": fmt_energy, "nearest_delta": fmt_num}
+
+
+def _record(obj, fields) -> dict:
+    """The named attributes of obj, in order."""
+    return {name: getattr(obj, name) for name in fields}
+
+
+def _formatted(columns: dict, records) -> list[dict]:
+    """Each record as printed: every value through its column's formatter."""
+    return [{name: fmt(rec[name]) for name, fmt in columns.items()} for rec in records]
 
 
 def _load_config(ctx: click.Context, _param, path: Optional[str]) -> None:
@@ -106,19 +141,19 @@ def parse_range(_ctx, _param, spec: str) -> list[int]:
         raise DomainError(f"cannot parse range {spec!r}; use LO:HI or a,b,c") from None
 
 
-def _emit(params: dict, header, rows, payload=None):
+def _emit(params: dict, columns, records, payload=None):
     """Write to --out or stdout: under --format json the payload, or else
-    the rows keyed by header; otherwise CSV rows under header, or text
-    lines when header is None (text under either format if no payload)."""
-    if params["format"] == "json" and (payload is not None or header is not None):
-        if payload is None:
-            payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    elif header is None:
-        text = "".join(line + "\n" for line in rows)
+    the records themselves; otherwise CSV, the formatted records under the
+    column names, or text lines when columns is None (text under either
+    format if no payload)."""
+    if params["format"] == "json" and (payload is not None or columns is not None):
+        text = json.dumps(records if payload is None else payload, indent=2) + "\n"
+    elif columns is None:
+        text = "".join(line + "\n" for line in records)
     else:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        rows = (row.values() for row in _formatted(columns, records))
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
         text = buf.getvalue()
     if params["out"]:
         Path(params["out"]).write_text(text, encoding="utf-8")
@@ -169,20 +204,9 @@ def cli():
 @click.pass_context
 def solve(ctx, **_kw):
     """Solve a single (n, l, D) state and print energy diagnostics."""
-    sol = solve_energy(*_inputs(ctx.params))
-    lines = [
-        f"energy = {fmt_energy(sol.energy)}",
-        f"epsilon = {fmt_energy(sol.epsilon)}",
-        f"residual = {fmt_num(sol.residual)}",
-        f"iterations = {sol.iterations}",
-    ]
-    payload = {
-        "energy": sol.energy,
-        "epsilon": sol.epsilon,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-    }
-    _emit(ctx.params, None, lines, payload)
+    record = _record(solve_energy(*_inputs(ctx.params)), SOLVE_FIELDS)
+    lines = [f"{name} = {fmt(record[name])}" for name, fmt in SOLVE_FIELDS.items()]
+    _emit(ctx.params, None, lines, record)
 
 
 @cli.command()
@@ -193,23 +217,7 @@ def table(ctx, **_kw):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
     pp, mp, _ = _inputs(ctx.params)
     tab = solve_table(pp, mp, ctx.params["n_range"], ctx.params["l_range"], ctx.params["dim_range"])
-    rows = [
-        (
-            c.dim, c.n, c.l,
-            fmt_energy(c.energy) if c.energy is not None else "",
-            fmt_num(c.residual),
-            c.status,
-        )
-        for c in tab.cells
-    ]
-    payload = [
-        {
-            "dim": c.dim, "n": c.n, "l": c.l,
-            "energy": c.energy, "residual": c.residual, "status": c.status,
-        }
-        for c in tab.cells
-    ]
-    _emit(ctx.params, tab.CSV_HEADER, rows, payload)
+    _emit(ctx.params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in tab.cells])
 
 
 @cli.command()
@@ -221,6 +229,7 @@ def table(ctx, **_kw):
 def degeneracy(ctx, **_kw):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
     pp, mp, _ = _inputs(ctx.params)
+    max_delta = _finite(ctx.params["max_delta"], "--max-delta")
 
     def solved(qn, direction=None):
         """qn, or its partner going direction, with its energy; (None, None)
@@ -231,7 +240,7 @@ def degeneracy(ctx, **_kw):
         except (OutOfDomain, NoRootInBracket, ComplexChannel):
             return None, None
 
-    rows = []
+    records = []
     worst = 0.0
     for d in ctx.params["dim_range"]:
         for n in ctx.params["n_range"]:
@@ -245,16 +254,14 @@ def degeneracy(ctx, **_kw):
                         continue
                     delta = abs(e - e_p)
                     worst = max(worst, delta)
-                    rows.append(
-                        (d, n, l, direction, partner.d, partner.l,
-                         fmt_energy(e), fmt_energy(e_p), fmt_num(delta))
-                    )
-    header = ("dim", "n", "l", "direction", "partner_dim", "partner_l",
-              "energy", "partner_energy", "delta")
-    payload = {"rows": [dict(zip(header, row)) for row in rows], "max_delta": worst}
-    _emit(ctx.params, header, rows, payload)
+                    records.append(dict(zip(
+                        DEGENERACY_COLUMNS,
+                        (d, n, l, direction, partner.d, partner.l, e, e_p, delta),
+                    )))
+    payload = {"rows": _formatted(DEGENERACY_COLUMNS, records), "max_delta": worst}
+    _emit(ctx.params, DEGENERACY_COLUMNS, records, payload)
     click.echo(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)
-    if worst > ctx.params["max_delta"]:
+    if worst > max_delta:
         raise NoRootInBracket(f"degeneracy violated: max |delta| = {worst}")
 
 
@@ -275,9 +282,10 @@ def wavefunction(ctx, **_kw):
         "jacobi_beta": wf.jacobi_beta,
         "norm": wf.norm,
         "nodes": nodes,
-        "samples": [[float(r), float(v)] for r, v in wf.samples],
+        "samples": wf.samples.tolist(),
     }
-    _emit(ctx.params, ("r", "R"), [(fmt_num(r), fmt_num(v)) for r, v in wf.samples], payload)
+    records = (dict(zip(WAVEFUNCTION_COLUMNS, sample)) for sample in payload["samples"])
+    _emit(ctx.params, WAVEFUNCTION_COLUMNS, records, payload)
     click.echo(f"nodes = {nodes}", file=sys.stderr)
 
 
@@ -291,17 +299,11 @@ def potential(ctx, **_kw):
     """Tabulate the exact potential against its exponential approximant."""
     v0, a = ctx.params["v0"], ctx.params["a"]
     prof = profile(v0, a, ctx.params["r_min"], ctx.params["r_max"], ctx.params["points"])
-    rows = [
-        (fmt_num(r), fmt_num(e), fmt_num(ap), fmt_num(ae),
-         "" if math.isnan(re) else fmt_num(re))
-        for r, e, ap, ae, re in prof.rows()
-    ]
-    payload = [
-        {"r": r, "exact": e, "approx": ap, "abs_err": ae,
-         "rel_err": None if math.isnan(re) else re}
-        for r, e, ap, ae, re in prof.rows()
-    ]
-    _emit(ctx.params, prof.CSV_HEADER, rows, payload)
+    values = [getattr(prof, name).tolist() for name in POTENTIAL_COLUMNS]
+    # rel_err is NaN where the exact value is too small for one
+    values[-1] = [None if math.isnan(x) else x for x in values[-1]]
+    records = [dict(zip(POTENTIAL_COLUMNS, row)) for row in zip(*values)]
+    _emit(ctx.params, POTENTIAL_COLUMNS, records)
 
 
 @cli.command()
@@ -317,20 +319,8 @@ def oracle(ctx, **_kw):
     pp, mp, qn = _inputs(ctx.params)
     modes = ["approximated", "exact"] if ctx.params["mode"] == "both" else [ctx.params["mode"]]
     results = [cross_validate(pp, mp, qn, mode=mode, points=ctx.params["points"]) for mode in modes]
-    header = ("mode", "e_solver", "status", "eigen_index", "e_oracle",
-              "richardson", "delta", "nearest_root", "nearest_delta")
-    rows = [
-        (
-            c.mode, fmt_energy(c.e_solver), c.status, c.eigen_index,
-            "" if c.e_oracle is None else fmt_energy(c.e_oracle),
-            "" if c.richardson is None else fmt_energy(c.richardson),
-            fmt_num(c.delta),
-            "" if c.nearest_root is None else fmt_energy(c.nearest_root),
-            fmt_num(c.nearest_delta),
-        )
-        for c in results
-    ]
-    _emit(ctx.params, header, rows)
+    records = [_record(c, ORACLE_COLUMNS) for c in results]
+    _emit(ctx.params, ORACLE_COLUMNS, records, _formatted(ORACLE_COLUMNS, records))
     if any(c.status != "validated" for c in results):
         raise NoRootInBracket("eigensolver did not validate the solver energy; see output")
 

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _positive
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .solver import solve_energy
 
@@ -19,9 +19,9 @@ class NonRelParams:
     a: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise DomainError(f"mu must be > 0, got {self.mu}")
-        if not (math.isfinite(self.a) and self.a >= 0.0):
+        _positive(self.mu, "mu")
+        _finite(self.v0, "v0")
+        if not 0.0 <= self.a < math.inf:
             raise DomainError(f"a must be >= 0, got {self.a}")
 
 

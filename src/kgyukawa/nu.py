@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NegativeDiscriminant
+from .errors import DomainError, NegativeDiscriminant, _integer
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def energy_relation_residual(problem: NuProblem, coeffs: NuCoefficients, n: int)
     Returns  c2*n - (2n+1)*c5 + (2n+1)*(sqrt(c9) - c3*sqrt(c8))
              + n*(n-1)*c3 + c7 + 2*c3*c8 - 2*sqrt(c8*c9).
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = _integer(n, "n", 0)
     if coeffs.c8 < 0.0 or coeffs.c9 < 0.0:
         raise NegativeDiscriminant("c8 and c9 must be nonnegative")
     r8 = math.sqrt(coeffs.c8)

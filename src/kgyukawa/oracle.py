@@ -15,24 +15,11 @@ the first sign change.  :func:`eigenvalue_k` still extracts single
 eigenvalues by Sturm-count bisection.
 
 The Sturm count is the LDL^T pivot recurrence q_i = (d_i - x) - e2/q_{i-1}
-(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), run on Python
-floats because numpy scalars make each step several times slower.  It
-walks a memoryview of the shifted diagonal d - x, so a Python float is
-made only for each row it reaches, in one loop over the rows up to the
-last classically allowed one and one over the forbidden tail after it.
-The tail loop stops early: once every later row has d_i - x >= 2 sqrt(e2)
-and the pivot has reached q >= sqrt(e2), each later pivot is at least
-2 sqrt(e2) - sqrt(e2) = sqrt(e2) > 0, so no later row adds to the count.
-It makes one comparison per row and reads only at the exit whether the
-pivot before it was negative; :func:`_sturm_count` gives the argument and
-its assumption, that sqrt(e2) is many ulps of every tail row.  A zero
-pivot is replaced by 1e-300 in an exception handler, not tested for in
-every row.  The E-independent part of W(r; E) is built once per grid and
-mode, without the quadratic and centrifugal terms when their coefficient
-is exactly 0; each evaluation of g writes d - x into one preallocated
-buffer in place, term by term in the fixed order (((2(E v0 + M s0) u +
-quadratic) + centrifugal) + 2/h^2) - x, with no new array for the
-diagonal.
+(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)); :func:`_sturm_count`
+says how it walks the rows and why it may stop before the last one.  The
+E-independent part of W(r; E) is built once per grid and mode, and each
+evaluation of g writes the shifted diagonal d - x into one preallocated
+buffer in place.
 
 This solver shares no algebra with the quantization-equation path and
 serves as its cross-check.
@@ -40,14 +27,13 @@ serves as its cross-check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
-from .errors import ComplexChannel, DomainError, NoRootInBracket
+from .errors import ComplexChannel, DomainError, NoRootInBracket, _integer, _positive
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import approx_yukawa, centrifugal_approx, yukawa
 from .rootfind import bisect
@@ -60,19 +46,6 @@ _TOL = 1e-12
 _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 # half-width of cross_validate's bracket around the solver energy
 _HALF_WIDTH = 5e-3
-
-
-def _integer(value, name: str, least: int) -> int:
-    """operator.index(value), which numpy integers pass; a value that is
-    not an integer (a float, a string, None) or is below least is a
-    DomainError."""
-    try:
-        k = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if k < least:
-        raise DomainError(f"{name} must be >= {least}, got {k}")
-    return k
 
 
 def _sturm_count(shifted, e2: float) -> int:
@@ -170,8 +143,7 @@ class OracleResult:
 
 def default_oracle_grid(epsilon_estimate: float, points: int = 16000) -> RadialGrid:
     """Long-tailed default: r_max covers 40 decay lengths of the state."""
-    if not (epsilon_estimate > 0.0):
-        raise DomainError(f"epsilon estimate must be > 0, got {epsilon_estimate}")
+    _positive(epsilon_estimate, "epsilon estimate")
     return RadialGrid(r_min=1e-4, r_max=max(400.0, 40.0 / epsilon_estimate), points=points)
 
 

@@ -5,11 +5,9 @@ screening parameter in fm^-1.
 """
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError, OutOfDomain
+from .errors import DomainError, OutOfDomain, _finite, _integer, _positive
 
 
 @dataclass(frozen=True)
@@ -26,10 +24,9 @@ class PotentialParams:
     a: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and math.isfinite(self.s0)):
-            raise DomainError("v0 and s0 must be finite")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"screening parameter a must be > 0, got {self.a}")
+        _finite(self.v0, "v0")
+        _finite(self.s0, "s0")
+        _positive(self.a, "screening parameter a")
 
     @classmethod
     def from_beta(cls, v0: float, beta: float, a: float) -> "PotentialParams":
@@ -43,8 +40,7 @@ class ParticleParams:
     mass: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise DomainError(f"mass must be > 0, got {self.mass}")
+        _positive(self.mass, "mass")
 
 
 @dataclass(frozen=True)
@@ -57,18 +53,9 @@ class QuantumNumbers:
     d: int
 
     def __post_init__(self):
-        for name in ("n", "l", "d"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.l < 0:
-            raise DomainError(f"l must be >= 0, got {self.l}")
-        if self.d < 2:
-            raise DomainError(f"d must be >= 2, got {self.d}")
+        _integer(self.n, "n", 1)
+        _integer(self.l, "l", 0)
+        _integer(self.d, "d", 2)
 
     def kappa(self) -> int:
         """Degenerate combination d + 2l - 2; the energy depends on (l, d)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _integer, _positive
 
 # Rows where |exact| falls below this record absolute error only.
 _REL_ERR_FLOOR = 1e-300
@@ -14,7 +14,7 @@ _REL_ERR_FLOOR = 1e-300
 
 def _check_positive_r(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise DomainError("r must be > 0")
     return r
 
@@ -59,22 +59,14 @@ class PotentialProfile:
     abs_err: np.ndarray
     rel_err: np.ndarray
 
-    CSV_HEADER = ("r", "exact", "approx", "abs_err", "rel_err")
-
-    def rows(self):
-        return zip(self.r, self.exact, self.approx, self.abs_err, self.rel_err)
-
 
 def profile(strength: float, a: float, r_min: float, r_max: float, points: int) -> PotentialProfile:
     """Sample exact and approximate potentials on a uniform grid for export."""
-    if not math.isfinite(strength):
-        raise DomainError(f"strength must be finite, got {strength}")
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"screening parameter a must be > 0, got {a}")
-    if not (0.0 < r_min < r_max):
-        raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points}")
+    _finite(strength, "strength")
+    _positive(a, "screening parameter a")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(f"need 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")
+    points = _integer(points, "points", 2)
     r = np.linspace(r_min, r_max, points)
     exact = yukawa(r, strength, a)
     approx = approx_yukawa(r, strength, a)

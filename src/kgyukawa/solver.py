@@ -24,6 +24,8 @@ from .errors import (
     KgYukawaError,
     NoRootInBracket,
     NormalizationFailure,
+    _integer,
+    _positive,
 )
 from .nu import NuProblem
 from .params import ParticleParams, PotentialParams, QuantumNumbers
@@ -132,12 +134,18 @@ def energy_equation_residual(
     k = _k(pp, qn)
     m, a, v0, s0 = mp.mass, pp.a, pp.v0, pp.s0
     E = np.asarray(E, dtype=float)
-    if np.any(np.abs(E) >= m):
+    if not np.all(np.abs(E) < m):
         raise DomainError("E must lie strictly inside (-M, M)")
     eps = np.sqrt(m * m - E * E)
     c = a * (k * k + 4.0 * (v0 * v0 - s0 * s0)) - 4.0 * s0 * m
     out = c - 4.0 * v0 * E + 2.0 * sign * k * eps
     return float(out) if out.ndim == 0 else out
+
+
+def _no_bound_state(branch: str, qn: QuantumNumbers) -> NoRootInBracket:
+    """What solve_energy raises, and solve_table records, when qn has no
+    root on branch."""
+    return NoRootInBracket(f"no sign change on the {branch} branch for {qn}: no bound state")
 
 
 def solve_energy(
@@ -163,7 +171,7 @@ def solve_energy(
     values = energy_equation_residual(grid, pp, mp, qn, branch)
     brackets = sign_change_brackets(grid, values)
     if not brackets:
-        raise NoRootInBracket(f"no sign change on the {branch} branch for {qn}: no bound state")
+        raise _no_bound_state(branch, qn)
 
     def f(E: float) -> float:
         return energy_equation_residual(E, pp, mp, qn, branch)
@@ -201,8 +209,6 @@ class EnergyTable:
     mp: ParticleParams
     cells: tuple[TableCell, ...] = field(default_factory=tuple)
 
-    CSV_HEADER = ("dim", "n", "l", "energy", "residual", "status")
-
 
 def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
     try:
@@ -210,12 +216,12 @@ def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
         k = _k(pp, qn)
         if k not in solved:
             try:
-                solved[k] = qn, solve_energy(pp, mp, qn)
-            except NoRootInBracket as exc:
-                solved[k] = qn, exc
-        first, sol = solved[k]
-        if isinstance(sol, NoRootInBracket):  # its message names `first`
-            raise NoRootInBracket(str(sol).replace(str(first), str(qn)))
+                solved[k] = solve_energy(pp, mp, qn)
+            except NoRootInBracket:
+                solved[k] = None
+        sol = solved[k]
+        if sol is None:
+            raise _no_bound_state("published", qn)
         return TableCell(dim=d, n=n, l=l, status="ok", energy=sol.energy, residual=sol.residual)
     except NoRootInBracket as exc:
         return TableCell(dim=d, n=n, l=l, status="no_bound_state", message=str(exc))
@@ -240,7 +246,7 @@ def solve_table(
     same energy and residual, bit for bit.  Per-cell failures are recorded
     in the cell status and message and never abort the grid.
     """
-    solved: dict[float, tuple] = {}  # K -> (first qn, EnergySolution or NoRootInBracket)
+    solved: dict[float, Optional[EnergySolution]] = {}  # K -> solution, None if none
     cells = tuple(
         _solve_cell(pp, mp, d, n, l, solved) for d in d_range for n in n_range for l in l_range
     )
@@ -290,10 +296,8 @@ class RadialWavefunction:
 def default_radial_grid(epsilon: float, points: int = DEFAULT_WF_POINTS) -> np.ndarray:
     """Geometric grid on [r_min, 30/epsilon] resolving both the power-law
     origin behavior and the exponential tail."""
-    if not (epsilon > 0.0):
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points}")
+    _positive(epsilon, "epsilon")
+    points = _integer(points, "points", 2)
     return np.geomspace(DEFAULT_WF_RMIN, DEFAULT_WF_TAIL / epsilon, points)
 
 
@@ -323,7 +327,7 @@ def radial_wavefunction(
     if grid is None:
         grid = default_radial_grid(sol.epsilon)
     r = np.asarray(grid, dtype=float)
-    if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
+    if not (np.all(r > 0.0) and np.all(np.diff(r) > 0.0)):
         raise DomainError("grid must be strictly positive and increasing")
 
     s = np.exp(-2.0 * pp.a * r)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NonFinite
+from .errors import DomainError, NonFinite, _integer
 
 MAX_DEGREE = 200
 
@@ -15,8 +15,7 @@ def jacobi_eval(n: int, alpha: float, beta: float, x):
     a scalar or ndarray argument ``x``; degrees above 200 are rejected
     because the recurrence is not guarded against overflow beyond that.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"polynomial degree must be a nonnegative integer, got {n}")
+    n = _integer(n, "polynomial degree", 0)
     if n > MAX_DEGREE:
         raise DomainError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
     x = np.asarray(x, dtype=float)

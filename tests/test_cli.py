@@ -329,11 +329,19 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
      lambda out, err: out == "" and "invalid input: screening parameter a" in err),
     (["potential", "--v0", "nan", "--a", "0.05"], 1,
      lambda out, err: out == "" and "invalid input: strength must be finite" in err),
+    # printed a nan row and three inf rows, exit 0
+    (["potential", "--v0", "1", "--a", "0.1", "--r-max", "inf", "--points", "4"], 1,
+     lambda out, err: out == "" and "invalid input: need 0 < r_min < r_max < inf" in err),
+    # a NaN threshold switched the check off, exit 0
+    (["degeneracy", *BASE, "--n-range", "1", "--l-range", "0", "--dim-range", "3:4",
+      "--max-delta", "nan"], 1,
+     lambda out, err: out == "" and "invalid input: --max-delta must be finite, got nan" in err),
 ], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row",
         "solve-tiny-a", "solve-a-overflows", "limits-a-overflows", "solve-huge-equal-couplings",
         "solve-huge-scalar-coupling", "wavefunction-0-points",
         "wavefunction-negative-points", "wavefunction-1-point", "potential-zero-a",
-        "potential-negative-a", "potential-nan-v0"])
+        "potential-negative-a", "potential-nan-v0", "potential-infinite-r-max",
+        "degeneracy-nan-max-delta"])
 def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code

@@ -1,8 +1,11 @@
 """Schrodinger and Coulomb limits, and the relativistic correspondence."""
+import math
+
 import numpy as np
 import pytest
 
 from kgyukawa import (
+    DomainError,
     NonRelParams,
     NoRootInBracket,
     ParticleParams,
@@ -17,6 +20,17 @@ from kgyukawa import (
 
 MP = ParticleParams(mass=1.0)
 GROUND = QuantumNumbers(n=1, l=0, d=3)
+
+
+@pytest.mark.parametrize("mu, v0, a", [
+    (0.0, 0.2, 0.05), (math.inf, 0.2, 0.05), (math.nan, 0.2, 0.05),
+    (1.0, 0.2, -0.1), (1.0, 0.2, math.inf), (1.0, 0.2, math.nan),
+    # a non-finite v0 made nonrel_energy return nan or -inf
+    (1.0, math.nan, 0.05), (1.0, math.inf, 0.05), (1.0, -math.inf, 0.05),
+])
+def test_nonrel_params_validation(mu, v0, a):
+    with pytest.raises(DomainError):
+        NonRelParams(mu=mu, v0=v0, a=a)
 
 
 def test_critical_screening_zeroes_energy():

@@ -153,6 +153,10 @@ def test_residual_rejects_negative_n():
     coeffs = derive_coefficients(problem)
     with pytest.raises(DomainError):
         energy_relation_residual(problem, coeffs, -1)
+    # 2.0 was accepted, where QuantumNumbers(n=2.0) is not
+    for n in (2.0, 0.5):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            energy_relation_residual(problem, coeffs, n)
 
 
 def test_exponents_for_equal_mixture():

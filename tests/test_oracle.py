@@ -59,6 +59,9 @@ def test_grid_validation():
         with pytest.raises(DomainError, match="points must be an integer"):
             RadialGrid(r_min=1e-4, r_max=400.0, points=points)
     assert RadialGrid(r_min=1e-4, r_max=400.0, points=np.int64(200)).nodes().shape == (200,)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="epsilon estimate must be > 0"):
+            default_oracle_grid(eps)
     grid = RadialGrid(r_min=0.0001, r_max=400.0, points=16000)
     assert grid.spacing == pytest.approx((400.0 - 0.0001) / 15999)
     assert grid.doubled().points == 32000

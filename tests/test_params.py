@@ -17,8 +17,10 @@ def test_potential_validation():
         PotentialParams(v0=0.2, s0=0.1, a=0.0)
     with pytest.raises(DomainError):
         PotentialParams(v0=0.2, s0=0.1, a=-0.1)
-    with pytest.raises(DomainError):
-        PotentialParams(v0=float("nan"), s0=0.1, a=0.05)
+    for v0, s0, a in ((float("nan"), 0.1, 0.05), (0.2, float("inf"), 0.05),
+                      (0.2, 0.1, float("inf")), (0.2, 0.1, float("nan"))):
+        with pytest.raises(DomainError):
+            PotentialParams(v0=v0, s0=s0, a=a)
 
 
 def test_beta_roundtrip():
@@ -29,8 +31,9 @@ def test_beta_roundtrip():
 def test_particle_validation():
     with pytest.raises(DomainError):
         ParticleParams(mass=0.0)
-    with pytest.raises(DomainError):
-        ParticleParams(mass=-1.0)
+    for mass in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="mass must be > 0"):
+            ParticleParams(mass=mass)
 
 
 def test_quantum_number_bounds():

@@ -31,10 +31,9 @@ def test_domain_errors_at_nonpositive_r():
     for fn in (lambda r: yukawa(r, 1.0, 0.1),
                lambda r: approx_yukawa(r, 1.0, 0.1),
                lambda r: centrifugal_approx(r, 0.1)):
-        with pytest.raises(DomainError):
-            fn(0.0)
-        with pytest.raises(DomainError):
-            fn(-1.0)
+        for r in (0.0, -1.0, math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                fn(r)
 
 
 def test_approx_matches_exact_at_small_ar():
@@ -98,7 +97,6 @@ def test_both_potentials_negative_and_increasing():
 def test_profile_two_points():
     prof = profile(1.0, 0.05, 0.5, 1.5, 2)
     assert len(prof.r) == 2
-    assert list(prof.CSV_HEADER) == ["r", "exact", "approx", "abs_err", "rel_err"]
 
 
 def test_profile_small_ar_error_bound():
@@ -122,6 +120,13 @@ def test_profile_validation():
         profile(1.0, 0.05, 2.0, 1.0, 10)
     with pytest.raises(DomainError):
         profile(1.0, 0.05, 0.1, 2.0, 1)
+    # a float count raised a bare TypeError from linspace
+    with pytest.raises(DomainError, match="points must be an integer"):
+        profile(1.0, 0.05, 0.1, 2.0, 2.5)
+    # an infinite end sampled nan and inf
+    for r_min, r_max in ((0.1, math.inf), (math.nan, 2.0), (0.1, math.nan)):
+        with pytest.raises(DomainError, match="need 0 < r_min < r_max < inf"):
+            profile(1.0, 0.05, r_min, r_max, 4)
     for strength, a in ((math.nan, 0.05), (math.inf, 0.05), (1.0, 0.0), (1.0, -1.0),
                         (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(DomainError):

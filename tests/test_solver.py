@@ -88,6 +88,10 @@ def test_residual_domain_guard(pp_half):
         energy_equation_residual(1.0, pp_half, MP, qn)
     with pytest.raises(DomainError):
         energy_equation_residual(-1.5, pp_half, MP, qn)
+    # NaN passed the old |E| >= M test and came back as the residual
+    for E in (math.nan, [-0.5, math.nan]):
+        with pytest.raises(DomainError):
+            energy_equation_residual(E, pp_half, MP, qn)
 
 
 def test_closed_form_equals_four_times_canonical_residual(pp_half):
@@ -435,6 +439,16 @@ def test_wavefunction_grid_validation(pp_half):
     for points in (1, 0, -5):
         with pytest.raises(DomainError, match="points must be >= 2"):
             default_radial_grid(sol.epsilon, points)
+    # a float count raised a bare TypeError from geomspace
+    with pytest.raises(DomainError, match="points must be an integer"):
+        default_radial_grid(0.1, 2.5)
+    # epsilon = inf raised numpy's plain ValueError
+    for epsilon in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError, match="epsilon must be > 0"):
+            default_radial_grid(epsilon)
+    # a NaN node surfaced as NonFinite from the Jacobi recurrence
+    with pytest.raises(DomainError, match="grid must be strictly positive and increasing"):
+        radial_wavefunction(sol, pp_half, MP, qn, np.array([0.5, math.nan, 2.0]))
     for energy in (-1.0, 1.0):
         with pytest.raises(DomainError, match="energy must lie in"):
             radial_wavefunction(replace(sol, energy=energy), pp_half, MP, qn)

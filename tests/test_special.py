@@ -67,6 +67,11 @@ def test_degree_guards():
         jacobi_eval(-1, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         jacobi_eval(201, 0.0, 0.0, 0.0)
+    # an integral float raised a bare TypeError from range()
+    for n in (2.0, 1.5, None):
+        with pytest.raises(DomainError, match="polynomial degree must be an integer"):
+            jacobi_eval(n, 0.0, 0.0, 0.0)
+    assert jacobi_eval(np.int64(1), 1.3, 0.4, -0.25) == jacobi_eval(1, 1.3, 0.4, -0.25)
 
 
 def test_overflow_reports_nonfinite():
