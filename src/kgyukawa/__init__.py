@@ -41,7 +41,6 @@ from .params import ParticleParams, PotentialParams, QuantumNumbers, degeneracy_
 from .potentials import PotentialProfile, approx_yukawa, centrifugal_approx, profile, yukawa
 from .solver import (
     EnergySolution,
-    EnergyTable,
     RadialWavefunction,
     TableCell,
     channel_constant,

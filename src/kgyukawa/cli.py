@@ -18,20 +18,20 @@ from typing import Optional
 import click
 
 from .errors import (
-    ComplexChannel,
+    _NO_SOLUTION,
     DomainError,
     KgYukawaError,
     NoRootInBracket,
     NonFinite,
     NormalizationFailure,
-    OutOfDomain,
     _finite,
 )
 from .limits import NonRelParams, coulomb_energy, nonrel_energy, nonrel_limit_of_relativistic
-from .oracle import cross_validate
+from .oracle import DEFAULT_ORACLE_POINTS, cross_validate
 from .params import ParticleParams, PotentialParams, QuantumNumbers, degeneracy_partner
 from .potentials import profile
 from .solver import (
+    DEFAULT_WF_POINTS,
     count_nodes,
     default_radial_grid,
     radial_wavefunction,
@@ -216,8 +216,9 @@ def solve(ctx, **_kw):
 def table(ctx, **_kw):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
     pp, mp, _ = _inputs(ctx.params)
-    tab = solve_table(pp, mp, ctx.params["n_range"], ctx.params["l_range"], ctx.params["dim_range"])
-    _emit(ctx.params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in tab.cells])
+    cells = solve_table(pp, mp, ctx.params["n_range"], ctx.params["l_range"],
+                        ctx.params["dim_range"])
+    _emit(ctx.params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in cells])
 
 
 @cli.command()
@@ -237,7 +238,7 @@ def degeneracy(ctx, **_kw):
         try:
             state = qn if direction is None else degeneracy_partner(qn, direction)
             return state, solve_energy(pp, mp, state).energy
-        except (OutOfDomain, NoRootInBracket, ComplexChannel):
+        except _NO_SOLUTION:
             return None, None
 
     records = []
@@ -268,7 +269,7 @@ def degeneracy(ctx, **_kw):
 @cli.command()
 @common_options
 @state_options
-@click.option("--points", type=int, default=4096, show_default=True)
+@click.option("--points", type=int, default=DEFAULT_WF_POINTS, show_default=True)
 @click.pass_context
 def wavefunction(ctx, **_kw):
     """Export the normalized radial wavefunction as (r, R) samples."""
@@ -311,7 +312,7 @@ def potential(ctx, **_kw):
 @state_options
 @click.option("--mode", type=click.Choice(["approximated", "exact", "both"]),
               default="approximated", show_default=True)
-@click.option("--points", type=int, default=16000, show_default=True)
+@click.option("--points", type=int, default=DEFAULT_ORACLE_POINTS, show_default=True)
 @click.pass_context
 def oracle(ctx, **_kw):
     """Cross-check the quantization-equation energy against the
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         click.echo(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NoRootInBracket, ComplexChannel, OutOfDomain) as exc:
+    except _NO_SOLUTION as exc:
         click.echo(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (NonFinite, NormalizationFailure) as exc:

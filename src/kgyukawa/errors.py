@@ -42,6 +42,10 @@ class OutOfDomain(KgYukawaError):
     """A quantum-number transformation left the admissible (n, l, D) domain."""
 
 
+# The errors that mean no state exists for valid inputs.
+_NO_SOLUTION = (NoRootInBracket, ComplexChannel, OutOfDomain)
+
+
 def _integer(value, name: str, least: int) -> int:
     """operator.index(value), which numpy integers pass; a value that is
     not an integer (a float, a string, None) or is below least is a
@@ -67,3 +71,16 @@ def _positive(value, name: str):
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be > 0, got {value}")
     return value
+
+
+def _within_mass(value, mass, name: str):
+    """value, unless it is not strictly inside (-mass, mass) (a DomainError)."""
+    if not -mass < value < mass:
+        raise DomainError(f"{name} must lie in (-M, M), got {value}")
+    return value
+
+
+def _radii(r_min, r_max) -> None:
+    """A DomainError unless 0 < r_min < r_max < inf."""
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(f"need 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")

@@ -27,23 +27,20 @@ class NonRelParams:
 
 def effective_level(qn: QuantumNumbers) -> float:
     """nu = n + d/2 + l - 1/2, the single combination the limit formulas
-    depend on (invariant under (l, d) -> (l+-1, d-+2))."""
+    depend on (invariant under (l, d) -> (l+-1, d-+2)); nu >= 3/2 for
+    every QuantumNumbers."""
     return qn.n + qn.d / 2.0 + qn.l - 0.5
 
 
 def nonrel_energy(p: NonRelParams, qn: QuantumNumbers) -> float:
     """Screened-Coulomb Schrodinger energy -(1/2mu) * (nu*a - mu*v0/nu)^2."""
     nu = effective_level(qn)
-    if not (nu > 0.0):
-        raise DomainError(f"nu = {nu} must be > 0")
     return -(1.0 / (2.0 * p.mu)) * (nu * p.a - p.mu * p.v0 / nu) ** 2
 
 
 def coulomb_energy(p: NonRelParams, qn: QuantumNumbers) -> float:
     """Unscreened limit -mu*v0^2 / (2 nu^2); equals nonrel_energy at a = 0."""
     nu = effective_level(qn)
-    if not (nu > 0.0):
-        raise DomainError(f"nu = {nu} must be > 0")
     return -p.mu * p.v0 * p.v0 / (2.0 * nu * nu)
 
 
@@ -60,7 +57,6 @@ class ConvergenceReport:
     """Gap between the relativistic solution (shifted by -M) and the
     Schrodinger energy, per screening value."""
 
-    qn: QuantumNumbers
     rows: tuple[ConvergenceRow, ...]
 
 
@@ -92,4 +88,4 @@ def nonrel_limit_of_relativistic(
                 gap=abs((rel.energy - mp.mass) - e_nr),
             )
         )
-    return ConvergenceReport(qn=qn, rows=tuple(rows))
+    return ConvergenceReport(rows=tuple(rows))

@@ -33,11 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComplexChannel, DomainError, NoRootInBracket, _integer, _positive
+from .errors import DomainError, NoRootInBracket, _finite, _integer, _positive, _radii, _within_mass
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import approx_yukawa, centrifugal_approx, yukawa
 from .rootfind import bisect
-from .solver import solve_energy
+from .solver import SCAN_EDGE, solve_energy
 
 # closure-root bisection tolerance on E
 _TOL = 1e-12
@@ -46,6 +46,8 @@ _TOL = 1e-12
 _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 # half-width of cross_validate's bracket around the solver energy
 _HALF_WIDTH = 5e-3
+# grid points of default_oracle_grid and cross_validate
+DEFAULT_ORACLE_POINTS = 16000
 
 
 def _sturm_count(shifted, e2: float) -> int:
@@ -111,8 +113,7 @@ class RadialGrid:
     points: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise DomainError(f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
+        _radii(self.r_min, self.r_max)
         _integer(self.points, "points", 100)
 
     @property
@@ -137,11 +138,10 @@ class OracleResult:
 
     energy: float
     eigen_index: int
-    grid: RadialGrid
     richardson_estimate: float
 
 
-def default_oracle_grid(epsilon_estimate: float, points: int = 16000) -> RadialGrid:
+def default_oracle_grid(epsilon_estimate: float, points: int = DEFAULT_ORACLE_POINTS) -> RadialGrid:
     """Long-tailed default: r_max covers 40 decay lengths of the state."""
     _positive(epsilon_estimate, "epsilon estimate")
     return RadialGrid(r_min=1e-4, r_max=max(400.0, 40.0 / epsilon_estimate), points=points)
@@ -198,8 +198,7 @@ def effective_ode_coefficient(
     same equation the quantization path solves analytically.
     """
     m = mp.mass
-    if not (-m < E < m):
-        raise DomainError(f"E must lie in (-M, M), got {E}")
+    _within_mass(E, m, "E")
     out = E * E - m * m - _potential(r, pp, mp, qn, mode)(E, np.empty(np.shape(r)))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -230,8 +229,10 @@ def eigenvalue_k(
 ) -> float:
     """k-th eigenvalue (k = 0 lowest) of -d^2/dr^2 + W(r; E_frozen) with
     Dirichlet conditions at both grid ends, by Sturm-count bisection.
-    k is a non-negative integer (numpy integers included)."""
+    k is a non-negative integer (numpy integers included); E_frozen is
+    any finite energy, +-M included."""
     k = _integer(k, "k", 0)
+    _finite(E_frozen, "E_frozen")
     shifted, e2 = _tridiag(pp, mp, qn, grid, mode)
     diag = shifted(E_frozen, 0.0)
     if k >= diag.shape[0]:
@@ -272,8 +273,8 @@ def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
     else:
         # clip into the open interval; states near +-M produce brackets
         # that stick out past the branch points
-        lo = max(bracket[0], -m * (1.0 - 1e-9))
-        hi = min(bracket[1], m * (1.0 - 1e-9))
+        lo = max(bracket[0], -m * (1.0 - SCAN_EDGE))
+        hi = min(bracket[1], m * (1.0 - SCAN_EDGE))
         if not (lo < hi):
             raise DomainError(f"bracket {bracket} does not intersect (-M, M)")
     g = _closure(pp, mp, qn, grid, mode, k)
@@ -293,7 +294,7 @@ def _fine_root(pp, mp, qn, grid, mode, k, root):
     root - w and root + w for each w of _FINE_STEPS, clipped into (-M, M),
     up to the first sign change, which is bisected."""
     g = _closure(pp, mp, qn, grid, mode, k)
-    edge = mp.mass * (1.0 - 1e-9)
+    edge = mp.mass * (1.0 - SCAN_EDGE)
     g_root = g(root)
     for w in _FINE_STEPS:
         lo, hi = max(root - w, -edge), min(root + w, edge)
@@ -328,13 +329,14 @@ def oracle_energy(
     reindexing or pairing different roots.
     """
     k = qn.n - 1 if eigen_index is None else _integer(eigen_index, "eigen_index", 0)
+    scan_points = _integer(scan_points, "scan_points", 0)
     root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points)
 
     fine = grid.doubled()
     root_fine = _fine_root(pp, mp, qn, fine, mode, k, root)
     rho = (fine.points - 1) / (grid.points - 1)  # spacing ratio h/h_fine
     richardson = (root_fine * rho**2 - root) / (rho**2 - 1.0)
-    return OracleResult(energy=root, eigen_index=k, grid=grid, richardson_estimate=richardson)
+    return OracleResult(energy=root, eigen_index=k, richardson_estimate=richardson)
 
 
 @dataclass(frozen=True)
@@ -344,11 +346,11 @@ class OracleComparison:
 
     status "validated" means a closure root exists in the +-5e-3
     bracket around the solver energy; "no_root_in_bracket" is the labeled
-    discrepancy case, with the nearest full-range closure root (same
-    eigen_index) reported when one exists.
+    discrepancy case, reported with the lowest closure root at the same
+    eigen_index (``nearest_root``, the first sign change of a 101-point
+    scan up from -M(1 - 1e-6)) when one exists.
     """
 
-    qn: QuantumNumbers
     mode: str
     e_solver: float
     status: str
@@ -365,40 +367,35 @@ def cross_validate(
     mp: ParticleParams,
     qn: QuantumNumbers,
     mode: str = "approximated",
-    points: int = 16000,
+    points: int = DEFAULT_ORACLE_POINTS,
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
-    Tries the bracket [E_solver - 5e-3, E_solver + 5e-3]
-    first; on failure scans the whole of (-M, M) for the nearest closure
-    root at the same eigen_index, n - 1, and reports the mismatch
-    explicitly.
+    Tries the bracket [E_solver - 5e-3, E_solver + 5e-3] at eigen_index
+    n - 1 first; on failure reports the mismatch explicitly, with the
+    lowest closure root at the same eigen_index: the one in the first
+    sign change of a 101-point scan up from -M(1 - 1e-6).
     """
     k = qn.n - 1
     e_solver = solve_energy(pp, mp, qn).energy
     eps_est = math.sqrt(mp.mass**2 - e_solver**2)
     grid = default_oracle_grid(eps_est, points=points)
+    shared = dict(mode=mode, e_solver=e_solver, eigen_index=k)
     try:
         res = oracle_energy(
             pp, mp, qn, grid, mode, eigen_index=k,
             bracket=(e_solver - _HALF_WIDTH, e_solver + _HALF_WIDTH), scan_points=11,
         )
         return OracleComparison(
-            qn=qn, mode=mode, e_solver=e_solver, status="validated", eigen_index=k,
-            e_oracle=res.energy, richardson=res.richardson_estimate,
-            delta=abs(res.richardson_estimate - e_solver),
-        )
-    except (NoRootInBracket, ComplexChannel):
-        pass
-    try:
-        res = oracle_energy(pp, mp, qn, grid, mode, eigen_index=k, bracket=None)
-        return OracleComparison(
-            qn=qn, mode=mode, e_solver=e_solver, status="no_root_in_bracket",
-            eigen_index=k, nearest_root=res.energy,
-            nearest_delta=abs(res.energy - e_solver),
+            **shared, status="validated", e_oracle=res.energy,
+            richardson=res.richardson_estimate, delta=abs(res.richardson_estimate - e_solver),
         )
     except NoRootInBracket:
-        return OracleComparison(
-            qn=qn, mode=mode, e_solver=e_solver, status="no_root_in_bracket",
-            eigen_index=k,
-        )
+        pass
+    lowest = {}
+    try:
+        res = oracle_energy(pp, mp, qn, grid, mode, eigen_index=k, bracket=None)
+        lowest = dict(nearest_root=res.energy, nearest_delta=abs(res.energy - e_solver))
+    except NoRootInBracket:
+        pass
+    return OracleComparison(**shared, status="no_root_in_bracket", **lowest)

@@ -1,12 +1,11 @@
 """Yukawa potential, its exponential approximants, and approximation quality."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _finite, _integer, _positive
+from .errors import DomainError, _finite, _integer, _positive, _radii
 
 # Rows where |exact| falls below this record absolute error only.
 _REL_ERR_FLOOR = 1e-300
@@ -64,8 +63,7 @@ def profile(strength: float, a: float, r_min: float, r_max: float, points: int) 
     """Sample exact and approximate potentials on a uniform grid for export."""
     _finite(strength, "strength")
     _positive(a, "screening parameter a")
-    if not 0.0 < r_min < r_max < math.inf:
-        raise DomainError(f"need 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")
+    _radii(r_min, r_max)
     points = _integer(points, "points", 2)
     r = np.linspace(r_min, r_max, points)
     exact = yukawa(r, strength, a)

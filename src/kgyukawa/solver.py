@@ -13,7 +13,7 @@ parameters are written down directly (see :func:`radial_wavefunction`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     NormalizationFailure,
     _integer,
     _positive,
+    _within_mass,
 )
 from .nu import NuProblem
 from .params import ParticleParams, PotentialParams, QuantumNumbers
@@ -35,7 +36,8 @@ from .special import jacobi_eval
 # Uniform scan of (-M, M) for sign changes, and the bisection width.
 SCAN_POINTS = 20000
 TOLERANCE = 5e-14
-# Margin keeping the scan strictly inside (-M, M).
+# Relative margin keeping this scan, and the oracle's searches, strictly
+# inside (-M, M).
 SCAN_EDGE = 1e-9
 # Sign of the eps/a term in the quantization condition, per branch.
 _EPS_SIGN = {"published": -1.0, "decaying": 1.0}
@@ -103,8 +105,7 @@ def map_to_nu(
         p2 = eps^2/(4a^2) - (v0^2 - s0^2) + (M*s0 + E*v0)/a.
     """
     m = mp.mass
-    if not (-m < energy_trial < m):
-        raise DomainError(f"trial energy must lie in (-M, M), got {energy_trial}")
+    _within_mass(energy_trial, m, "trial energy")
     channel_constant(pp, qn)
     eps2 = m * m - energy_trial * energy_trial
     q = (m * pp.s0 + energy_trial * pp.v0) / pp.a
@@ -201,13 +202,8 @@ class TableCell:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class EnergyTable:
-    """Grid of energy solutions over d x n x l; cells with equal K share one solve."""
-
-    pp: PotentialParams
-    mp: ParticleParams
-    cells: tuple[TableCell, ...] = field(default_factory=tuple)
+# TableCell.status of a cell whose solve raised; any other error is "error".
+_CELL_STATUS = {NoRootInBracket: "no_bound_state", ComplexChannel: "complex_channel"}
 
 
 def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
@@ -223,12 +219,9 @@ def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
         if sol is None:
             raise _no_bound_state("published", qn)
         return TableCell(dim=d, n=n, l=l, status="ok", energy=sol.energy, residual=sol.residual)
-    except NoRootInBracket as exc:
-        return TableCell(dim=d, n=n, l=l, status="no_bound_state", message=str(exc))
-    except ComplexChannel as exc:
-        return TableCell(dim=d, n=n, l=l, status="complex_channel", message=str(exc))
     except KgYukawaError as exc:
-        return TableCell(dim=d, n=n, l=l, status="error", message=str(exc))
+        status = _CELL_STATUS.get(type(exc), "error")
+        return TableCell(dim=d, n=n, l=l, status=status, message=str(exc))
 
 
 def solve_table(
@@ -237,8 +230,8 @@ def solve_table(
     n_range: Sequence[int],
     l_range: Sequence[int],
     d_range: Sequence[int],
-) -> EnergyTable:
-    """Solve every published-branch cell of the Cartesian product
+) -> tuple[TableCell, ...]:
+    """The cells of every published-branch state of the Cartesian product
     d_range x n_range x l_range, in that order.
 
     The residual depends on (n, l, d) only through K = 2n+1+Lambda, so
@@ -247,10 +240,9 @@ def solve_table(
     in the cell status and message and never abort the grid.
     """
     solved: dict[float, Optional[EnergySolution]] = {}  # K -> solution, None if none
-    cells = tuple(
+    return tuple(
         _solve_cell(pp, mp, d, n, l, solved) for d in d_range for n in n_range for l in l_range
     )
-    return EnergyTable(pp=pp, mp=mp, cells=cells)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +270,6 @@ class RadialWavefunction:
     achieved value of the quadrature of R^2 (1 after normalization).
     """
 
-    qn: QuantumNumbers
     jacobi_alpha: float
     jacobi_beta: float
     samples: np.ndarray
@@ -319,9 +310,7 @@ def radial_wavefunction(
     (2c4 - c12, c13) = (eps/(2a), (1+Lambda)/2), the decaying partner of
     c12 = -eps/(2a).
     """
-    m, E = mp.mass, sol.energy
-    if not (-m < E < m):
-        raise DomainError(f"energy must lie in (-M, M), got {E}")
+    m, E = mp.mass, _within_mass(sol.energy, mp.mass, "energy")
     alpha = math.sqrt(m * m - E * E) / pp.a
     beta = math.sqrt(channel_constant(pp, qn))
     if grid is None:
@@ -346,9 +335,7 @@ def radial_wavefunction(
 
     samples = np.column_stack([r, values])
     norm = float(np.trapezoid(values[:keep] ** 2, r[:keep]))
-    return RadialWavefunction(
-        qn=qn, jacobi_alpha=alpha, jacobi_beta=beta, samples=samples, norm=norm
-    )
+    return RadialWavefunction(jacobi_alpha=alpha, jacobi_beta=beta, samples=samples, norm=norm)
 
 
 def count_nodes(wf: RadialWavefunction) -> int:

@@ -8,6 +8,14 @@ import weakref
 
 import pytest
 
+from kgyukawa import (
+    ComplexChannel,
+    KgYukawaError,
+    NoRootInBracket,
+    NonFinite,
+    NormalizationFailure,
+    OutOfDomain,
+)
 from kgyukawa.cli import main
 
 BASE = ["--v0", "0.2", "--s0", "0.1", "--a", "0.05", "--mass", "1"]
@@ -346,3 +354,21 @@ def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code
     assert check(out, err)
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (NoRootInBracket("none"), 2, "no solution: NoRootInBracket: none"),
+    (ComplexChannel("complex"), 2, "no solution: ComplexChannel: complex"),
+    (OutOfDomain("outside"), 2, "no solution: OutOfDomain: outside"),
+    (NonFinite("overflow"), 3, "numeric failure: NonFinite: overflow"),
+    (NormalizationFailure("integral is nan"), 3,
+     "numeric failure: NormalizationFailure: integral is nan"),
+    (KgYukawaError("unclassified"), 3, "error: KgYukawaError: unclassified"),
+])
+def test_library_errors_map_onto_exit_codes(capsys, monkeypatch, error, code, message):
+    # no input reaches the exit-3 handlers through a working solver
+    def fail(*_args):
+        raise error
+
+    monkeypatch.setattr("kgyukawa.cli.solve_energy", fail)
+    assert run(capsys, ["solve", *BASE]) == (code, "", message + "\n")

@@ -149,6 +149,13 @@ def test_eigenvalue_index_guards():
             eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", k)
     assert (eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", np.int64(1))
             == eigenvalue_k(0.0, FREE, MP, BOX_QN, grid, "exact", 1))
+    # a NaN frozen energy returned nan, and E_frozen = inf returned -inf
+    for E in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"E_frozen must be finite, got {E}"):
+            eigenvalue_k(E, FREE, MP, BOX_QN, grid, "exact", 0)
+    # the branch points E = +-M are frozen energies like any other
+    at_mass = eigenvalue_k(1.0, FREE, MP, BOX_QN, grid, "exact", 0)
+    assert at_mass == pytest.approx(math.pi**2, rel=1e-3)
 
 
 def test_oracle_eigen_index_guards(pp_plus):
@@ -166,6 +173,24 @@ def test_oracle_eigen_index_guards(pp_plus):
             for k in (1, np.int64(1))]
     assert runs[0] == runs[1]
     assert type(runs[1].eigen_index) is int
+
+
+def test_oracle_scan_points_guards(pp_plus):
+    # 2.5 raised a bare TypeError from np.linspace, -1 numpy's ValueError
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    grid = oracle_grid(2000)
+    with pytest.raises(DomainError, match="scan_points must be an integer, got 2.5"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0, scan_points=2.5)
+    with pytest.raises(DomainError, match="scan_points must be >= 0, got -1"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0, scan_points=-1)
+
+
+def test_oracle_rejects_bracket_outside_the_mass_gap(pp_plus):
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    for bracket in ((1.0, 1.5), (-2.0, -1.0), (0.5, 0.5)):
+        with pytest.raises(DomainError, match=r"does not intersect \(-M, M\)"):
+            oracle_energy(pp_plus, MP, qn, oracle_grid(2000), "approximated",
+                          eigen_index=0, bracket=bracket)
 
 
 # --------------------------------------------------------------------------
@@ -646,3 +671,20 @@ def test_cross_validation_surfaces_branch_discrepancy(pp_plus):
     assert cmp_.nearest_root is not None
     # the nearest genuine root at eigen_index n-1 is the nodeless state
     assert cmp_.nearest_root == pytest.approx(0.9411, abs=1e-3)
+
+
+def test_cross_validation_validates_the_state_its_pairing_reaches(monkeypatch, pp_plus):
+    # On the decaying branch the state labelled n has n nodes, so its
+    # closure root sits at eigen_index n, where cross_validate looks at
+    # n - 1: the energy it can confirm is the decaying one of (n - 1, l, d).
+    # No solver energy reaches "validated" unpatched: the published ones
+    # are not eigenvalues (acceptance criterion 4).
+    below = solve_energy(pp_plus, MP, QuantumNumbers(n=1, l=0, d=3), branch="decaying")
+    monkeypatch.setattr("kgyukawa.oracle.solve_energy", lambda pp, mp, qn: below)
+    cmp_ = cross_validate(pp_plus, MP, QuantumNumbers(n=2, l=0, d=3), points=2000)
+    assert cmp_.status == "validated"
+    assert (cmp_.mode, cmp_.eigen_index, cmp_.e_solver) == ("approximated", 1, below.energy)
+    # 1.2e-6 at 2000 points in approximated mode
+    assert cmp_.delta == abs(cmp_.richardson - below.energy) < 1e-5
+    assert abs(cmp_.e_oracle - below.energy) < 5e-3
+    assert cmp_.nearest_root is None and cmp_.nearest_delta is None

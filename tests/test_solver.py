@@ -21,6 +21,7 @@ from kgyukawa import (
     default_radial_grid,
     degeneracy_partner,
     derive_coefficients,
+    effective_ode_coefficient,
     energy_equation_residual,
     energy_relation_residual,
     map_to_nu,
@@ -280,14 +281,14 @@ def test_n_monotonicity_where_it_holds(pp_half, pp_plus):
 
 
 def test_table_grid_and_self_consistency(pp_half):
-    tab = solve_table(pp_half, MP, n_range=[1, 2], l_range=[0, 1], d_range=[3, 4])
-    assert len(tab.cells) == 8
-    assert all(c.status == "ok" for c in tab.cells)
+    cells = solve_table(pp_half, MP, n_range=[1, 2], l_range=[0, 1], d_range=[3, 4])
+    assert len(cells) == 8
+    assert all(c.status == "ok" for c in cells)
 
 
 def test_table_empty_range(pp_half):
-    tab = solve_table(pp_half, MP, n_range=[1], l_range=[], d_range=[3])
-    assert tab.cells == ()
+    cells = solve_table(pp_half, MP, n_range=[1], l_range=[], d_range=[3])
+    assert cells == ()
 
 
 def _solved_alone(pp, d, n, l):
@@ -306,20 +307,20 @@ def _solved_alone(pp, d, n, l):
 
 def test_table_records_cell_failures():
     pp = PotentialParams(v0=0.2, s0=0.1, a=5.0)
-    tab = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
-    assert tab.cells[0].status == "no_bound_state"
+    cells = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
+    assert cells[0].status == "no_bound_state"
     pp = PotentialParams(v0=5.0, s0=0.0, a=0.05)
-    tab = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
-    assert tab.cells[0].status == "complex_channel"
+    cells = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
+    assert cells[0].status == "complex_channel"
     # all four statuses in one table; n = 0 is an error, and (n, l, d) =
     # (2, 1, 3) and (2, 0, 5) share K but each message names its own cell
     pp = PotentialParams(v0=0.8, s0=0.0, a=0.3)
-    tab = solve_table(pp, MP, n_range=[0, 1, 2], l_range=[0, 1], d_range=[3, 4, 5])
-    assert {c.status for c in tab.cells} == {"ok", "no_bound_state", "complex_channel", "error"}
-    for c in tab.cells:
+    cells = solve_table(pp, MP, n_range=[0, 1, 2], l_range=[0, 1], d_range=[3, 4, 5])
+    assert {c.status for c in cells} == {"ok", "no_bound_state", "complex_channel", "error"}
+    for c in cells:
         status, _, _, message = _solved_alone(pp, c.dim, c.n, c.l)
         assert (c.status, c.message) == (status, message)
-    shared = [c for c in tab.cells if (c.n, c.l, c.dim) in ((2, 1, 3), (2, 0, 5))]
+    shared = [c for c in cells if (c.n, c.l, c.dim) in ((2, 1, 3), (2, 0, 5))]
     assert [c.status for c in shared] == ["no_bound_state"] * 2
     assert shared[0].message != shared[1].message
 
@@ -334,11 +335,11 @@ def test_table_records_cell_failures():
     ],
 )
 def test_table_equals_per_cell_solves(pp, n_range, l_range, d_range):
-    tab = solve_table(pp, MP, n_range, l_range, d_range)
-    assert [(c.dim, c.n, c.l) for c in tab.cells] == [
+    cells = solve_table(pp, MP, n_range, l_range, d_range)
+    assert [(c.dim, c.n, c.l) for c in cells] == [
         (d, n, l) for d in d_range for n in n_range for l in l_range
     ]
-    for c in tab.cells:
+    for c in cells:
         status, energy, residual, _ = _solved_alone(pp, c.dim, c.n, c.l)
         assert repr((c.status, c.energy, c.residual)) == repr((status, energy, residual))
 
@@ -353,8 +354,8 @@ def test_table_solves_each_k_once(monkeypatch, v0, s0, solves):
         return solve_energy(*args, **kwargs)
 
     monkeypatch.setattr("kgyukawa.solver.solve_energy", counted)
-    tab = solve_table(PotentialParams(v0=v0, s0=s0, a=0.05), MP, range(1, 4), range(0, 3), range(3, 11))
-    assert len(tab.cells) == 72
+    cells = solve_table(PotentialParams(v0=v0, s0=s0, a=0.05), MP, range(1, 4), range(0, 3), range(3, 11))
+    assert len(cells) == 72
     assert len(calls) == solves
 
 
@@ -452,3 +453,18 @@ def test_wavefunction_grid_validation(pp_half):
     for energy in (-1.0, 1.0):
         with pytest.raises(DomainError, match="energy must lie in"):
             radial_wavefunction(replace(sol, energy=energy), pp_half, MP, qn)
+
+
+def test_energy_window_is_open_and_rejects_nan(pp_half):
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    sol = solve_energy(pp_half, MP, qn)
+    checks = {
+        "trial energy": lambda E: map_to_nu(pp_half, MP, qn, E),
+        "energy": lambda E: radial_wavefunction(replace(sol, energy=E), pp_half, MP, qn),
+        "E": lambda E: effective_ode_coefficient(1.0, E, pp_half, MP, qn, "exact"),
+    }
+    for name, check in checks.items():
+        for energy in (math.nan, -1.0, 1.0, 2.0):
+            with pytest.raises(DomainError) as err:
+                check(energy)
+            assert str(err.value) == f"{name} must lie in (-M, M), got {energy}"
