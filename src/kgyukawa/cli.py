@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid input, 2 no solution / physics error,
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -15,8 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import click
-
+from . import __version__
 from .errors import (
     _NO_SOLUTION,
     DomainError,
@@ -91,24 +91,6 @@ def _formatted(columns: dict, records) -> list[dict]:
     return [{name: fmt(rec[name]) for name, fmt in columns.items()} for rec in records]
 
 
-def _load_config(ctx: click.Context, _param, path: Optional[str]) -> None:
-    """Eager --config callback: the JSON object becomes the command's
-    default_map, so its keys (flag names, dashes as underscores) fill in
-    every flag not given on the command line."""
-    if path is None:
-        return
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"config {path} must hold a JSON object")
-    # read each value as if typed after its flag, so that 2.7 is no integer
-    ctx.default_map = {
-        k: v if v is None or isinstance(v, str) else json.dumps(v) for k, v in data.items()
-    }
-
-
 def _inputs(params: dict) -> tuple[PotentialParams, ParticleParams, Optional[QuantumNumbers]]:
     """Couplings, particle and, for the single-state commands, the state
     (None for the grid commands) from the command's flags."""
@@ -124,8 +106,8 @@ def _inputs(params: dict) -> tuple[PotentialParams, ParticleParams, Optional[Qua
     return pp, mp, qn
 
 
-def parse_range(_ctx, _param, spec: str) -> list[int]:
-    """Range-flag callback: '3:10' (inclusive) or '1,2,3' or a single integer."""
+def parse_range(spec: str) -> list[int]:
+    """A range flag's value: '3:10' (inclusive) or '1,2,3' or a single integer."""
     spec = spec.strip()
     try:
         if ":" in spec:
@@ -134,11 +116,12 @@ def parse_range(_ctx, _param, spec: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        if "," in spec:
-            return [int(tok) for tok in spec.split(",") if tok.strip()]
-        return [int(spec)]
+        values = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"cannot parse range {spec!r}; use LO:HI or a,b,c") from None
+    if not values:
+        raise DomainError(f"range {spec!r} names no value")
+    return values
 
 
 def _emit(params: dict, columns, records, payload=None):
@@ -158,79 +141,30 @@ def _emit(params: dict, columns, records, payload=None):
     if params["out"]:
         Path(params["out"]).write_text(text, encoding="utf-8")
     else:
-        # an explicit file keeps click from caching, and never freeing, the stream
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
 
 
-def common_options(f):
-    f = click.option("--config", type=str, default=None, is_eager=True, expose_value=False,
-                     callback=_load_config,
-                     help="JSON file mirroring the flags; flags override it.")(f)
-    f = click.option("--out", "out", type=str, default=None, help="Output file (default stdout).")(f)
-    f = click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
-                     help="Structured output format.")(f)
-    f = click.option("--mass", type=float, default=1.0, show_default=True, help="Rest mass M (fm^-1).")(f)
-    f = click.option("--a", "a", type=float, required=True, help="Screening parameter (fm^-1).")(f)
-    f = click.option("--beta", type=float, default=None, help="Mixing ratio s0/v0 (alternative to --s0).")(f)
-    f = click.option("--s0", type=float, default=None, help="Scalar strength.")(f)
-    f = click.option("--v0", type=float, required=True, help="Vector strength.")(f)
-    return f
+# The commands are private, so that perfbench's tracer, which spans the
+# public functions, counts their time as main's own.
 
-
-def state_options(f):
-    f = click.option("--dim", type=int, default=3, show_default=True)(f)
-    f = click.option("--l", "l", type=int, default=0, show_default=True)(f)
-    f = click.option("--n", "n", type=int, default=1, show_default=True)(f)
-    return f
-
-
-def grid_options(f):
-    f = click.option("--dim-range", default="3:10", show_default=True, callback=parse_range)(f)
-    f = click.option("--l-range", default="0:2", show_default=True, callback=parse_range)(f)
-    f = click.option("--n-range", default="1:3", show_default=True, callback=parse_range)(f)
-    return f
-
-
-@click.group()
-@click.version_option(package_name="kgyukawa")
-def cli():
-    """Bound states of the D-dimensional Klein-Gordon equation with
-    scalar/vector Yukawa couplings."""
-
-
-@cli.command()
-@common_options
-@state_options
-@click.pass_context
-def solve(ctx, **_kw):
+def _solve(params):
     """Solve a single (n, l, D) state and print energy diagnostics."""
-    record = _record(solve_energy(*_inputs(ctx.params)), SOLVE_FIELDS)
+    record = _record(solve_energy(*_inputs(params)), SOLVE_FIELDS)
     lines = [f"{name} = {fmt(record[name])}" for name, fmt in SOLVE_FIELDS.items()]
-    _emit(ctx.params, None, lines, record)
+    _emit(params, None, lines, record)
 
 
-@cli.command()
-@common_options
-@grid_options
-@click.pass_context
-def table(ctx, **_kw):
+def _table(params):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
-    pp, mp, _ = _inputs(ctx.params)
-    cells = solve_table(pp, mp, ctx.params["n_range"], ctx.params["l_range"],
-                        ctx.params["dim_range"])
-    _emit(ctx.params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in cells])
+    pp, mp, _ = _inputs(params)
+    cells = solve_table(pp, mp, params["n_range"], params["l_range"], params["dim_range"])
+    _emit(params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in cells])
 
 
-@cli.command()
-@common_options
-@grid_options
-@click.option("--max-delta", type=float, default=1e-10, show_default=True,
-              help="Acceptance threshold on |E - E_partner|.")
-@click.pass_context
-def degeneracy(ctx, **_kw):
+def _degeneracy(params):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
-    pp, mp, _ = _inputs(ctx.params)
-    max_delta = _finite(ctx.params["max_delta"], "--max-delta")
+    pp, mp, _ = _inputs(params)
+    max_delta = _finite(params["max_delta"], "--max-delta")
 
     def solved(qn, direction=None):
         """qn, or its partner going direction, with its energy; (None, None)
@@ -243,9 +177,9 @@ def degeneracy(ctx, **_kw):
 
     records = []
     worst = 0.0
-    for d in ctx.params["dim_range"]:
-        for n in ctx.params["n_range"]:
-            for l in ctx.params["l_range"]:
+    for d in params["dim_range"]:
+        for n in params["n_range"]:
+            for l in params["l_range"]:
                 qn, e = solved(QuantumNumbers(n=n, l=l, d=d))
                 if qn is None:
                     continue
@@ -260,22 +194,17 @@ def degeneracy(ctx, **_kw):
                         (d, n, l, direction, partner.d, partner.l, e, e_p, delta),
                     )))
     payload = {"rows": _formatted(DEGENERACY_COLUMNS, records), "max_delta": worst}
-    _emit(ctx.params, DEGENERACY_COLUMNS, records, payload)
-    click.echo(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)
+    _emit(params, DEGENERACY_COLUMNS, records, payload)
+    print(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)
     if worst > max_delta:
         raise NoRootInBracket(f"degeneracy violated: max |delta| = {worst}")
 
 
-@cli.command()
-@common_options
-@state_options
-@click.option("--points", type=int, default=DEFAULT_WF_POINTS, show_default=True)
-@click.pass_context
-def wavefunction(ctx, **_kw):
+def _wavefunction(params):
     """Export the normalized radial wavefunction as (r, R) samples."""
-    pp, mp, qn = _inputs(ctx.params)
+    pp, mp, qn = _inputs(params)
     sol = solve_energy(pp, mp, qn)
-    wf = radial_wavefunction(sol, pp, mp, qn, default_radial_grid(sol.epsilon, ctx.params["points"]))
+    wf = radial_wavefunction(sol, pp, mp, qn, default_radial_grid(sol.epsilon, params["points"]))
     nodes = count_nodes(wf)
     payload = {
         "energy": sol.energy,
@@ -286,60 +215,43 @@ def wavefunction(ctx, **_kw):
         "samples": wf.samples.tolist(),
     }
     records = (dict(zip(WAVEFUNCTION_COLUMNS, sample)) for sample in payload["samples"])
-    _emit(ctx.params, WAVEFUNCTION_COLUMNS, records, payload)
-    click.echo(f"nodes = {nodes}", file=sys.stderr)
+    _emit(params, WAVEFUNCTION_COLUMNS, records, payload)
+    print(f"nodes = {nodes}", file=sys.stderr)
 
 
-@cli.command()
-@common_options
-@click.option("--r-min", type=float, default=0.1, show_default=True)
-@click.option("--r-max", type=float, default=20.0, show_default=True)
-@click.option("--points", type=int, default=400, show_default=True)
-@click.pass_context
-def potential(ctx, **_kw):
+def _potential(params):
     """Tabulate the exact potential against its exponential approximant."""
-    v0, a = ctx.params["v0"], ctx.params["a"]
-    prof = profile(v0, a, ctx.params["r_min"], ctx.params["r_max"], ctx.params["points"])
+    prof = profile(params["v0"], params["a"], params["r_min"], params["r_max"], params["points"])
     values = [getattr(prof, name).tolist() for name in POTENTIAL_COLUMNS]
     # rel_err is NaN where the exact value is too small for one
     values[-1] = [None if math.isnan(x) else x for x in values[-1]]
     records = [dict(zip(POTENTIAL_COLUMNS, row)) for row in zip(*values)]
-    _emit(ctx.params, POTENTIAL_COLUMNS, records)
+    _emit(params, POTENTIAL_COLUMNS, records)
 
 
-@cli.command()
-@common_options
-@state_options
-@click.option("--mode", type=click.Choice(["approximated", "exact", "both"]),
-              default="approximated", show_default=True)
-@click.option("--points", type=int, default=DEFAULT_ORACLE_POINTS, show_default=True)
-@click.pass_context
-def oracle(ctx, **_kw):
+def _oracle(params):
     """Cross-check the quantization-equation energy against the
     finite-difference eigensolver."""
-    pp, mp, qn = _inputs(ctx.params)
-    modes = ["approximated", "exact"] if ctx.params["mode"] == "both" else [ctx.params["mode"]]
-    results = [cross_validate(pp, mp, qn, mode=mode, points=ctx.params["points"]) for mode in modes]
+    pp, mp, qn = _inputs(params)
+    modes = ["approximated", "exact"] if params["mode"] == "both" else [params["mode"]]
+    results = [cross_validate(pp, mp, qn, mode=mode, points=params["points"]) for mode in modes]
     records = [_record(c, ORACLE_COLUMNS) for c in results]
-    _emit(ctx.params, ORACLE_COLUMNS, records, _formatted(ORACLE_COLUMNS, records))
+    _emit(params, ORACLE_COLUMNS, records, _formatted(ORACLE_COLUMNS, records))
     if any(c.status != "validated" for c in results):
         raise NoRootInBracket("eigensolver did not validate the solver energy; see output")
 
 
-@cli.command()
-@common_options
-@state_options
-@click.option("--a-sequence", type=str, default="0.002,0.001,0.0005", show_default=True,
-              help="Comma-separated screening values for the convergence report.")
-@click.pass_context
-def limits(ctx, **_kw):
+def _limits(params):
     """Print Schrodinger/Coulomb limit energies and the relativistic
     convergence report."""
-    pp, mp, qn = _inputs(ctx.params)
+    pp, mp, qn = _inputs(params)
+    spec = params["a_sequence"]
     try:
-        a_seq = [float(tok) for tok in ctx.params["a_sequence"].split(",") if tok.strip()]
+        a_seq = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise DomainError(f"cannot parse --a-sequence {ctx.params['a_sequence']!r}") from None
+        raise DomainError(f"cannot parse --a-sequence {spec!r}") from None
+    if not a_seq:
+        raise DomainError(f"--a-sequence {spec!r} names no value")
     nr = NonRelParams(mu=mp.mass, v0=pp.v0, a=pp.a)
     lines = [
         f"nonrelativistic energy = {fmt_num(nonrel_energy(nr, qn))}",
@@ -352,33 +264,156 @@ def limits(ctx, **_kw):
             f"E_rel - M = {fmt_num(row.e_relativistic - mp.mass)}, "
             f"E_nonrel = {fmt_num(row.e_nonrelativistic)}, gap = {fmt_num(row.gap)}"
         )
-    _emit(ctx.params, None, lines)
+    _emit(params, None, lines)
+
+
+# Each group of flags maps a flag to its add_argument keywords; every flag
+# takes one value.
+COMMON_FLAGS = {
+    "--v0": dict(type=float, help="Vector strength (required)."),
+    "--s0": dict(type=float, help="Scalar strength."),
+    "--beta": dict(type=float, help="Mixing ratio s0/v0 (alternative to --s0)."),
+    "--a": dict(type=float, help="Screening parameter (fm^-1, required)."),
+    "--mass": dict(type=float, default=1.0, help="Rest mass M (fm^-1)."),
+    "--format": dict(choices=("csv", "json"), default="csv", help="Structured output format."),
+    "--out": dict(help="Output file (default stdout)."),
+    "--config": dict(help="JSON file mirroring the flags; flags override it."),
+}
+STATE_FLAGS = {"--n": dict(type=int, default=1), "--l": dict(type=int, default=0),
+               "--dim": dict(type=int, default=3)}
+GRID_FLAGS = {"--n-range": dict(default="1:3"), "--l-range": dict(default="0:2"),
+              "--dim-range": dict(default="3:10")}
+# each command: its function and the flags it takes besides COMMON_FLAGS
+COMMANDS = {
+    "solve": (_solve, STATE_FLAGS),
+    "table": (_table, GRID_FLAGS),
+    "degeneracy": (_degeneracy, {**GRID_FLAGS, "--max-delta": dict(
+        type=float, default=1e-10, help="Acceptance threshold on |E - E_partner|.")}),
+    "wavefunction": (_wavefunction, {**STATE_FLAGS,
+                                     "--points": dict(type=int, default=DEFAULT_WF_POINTS)}),
+    "potential": (_potential, {"--r-min": dict(type=float, default=0.1),
+                               "--r-max": dict(type=float, default=20.0),
+                               "--points": dict(type=int, default=400)}),
+    "oracle": (_oracle, {**STATE_FLAGS,
+                         "--mode": dict(choices=("approximated", "exact", "both"),
+                                        default="approximated"),
+                         "--points": dict(type=int, default=DEFAULT_ORACLE_POINTS)}),
+    "limits": (_limits, {**STATE_FLAGS, "--a-sequence": dict(
+        default="0.002,0.001,0.0005",
+        help="Comma-separated screening values for the convergence report.")}),
+}
+FLAGS = {name: {**COMMON_FLAGS, **flags} for name, (_, flags) in COMMANDS.items()}
+METAVARS = {float: "FLOAT", int: "INTEGER", None: "TEXT"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with exit code 1 and an 'error: ' line."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID_INPUT, f"error: {message}\n")
+
+
+def _parser() -> _Parser:
+    """One subparser per command; --help and --version are the only
+    other flags (no -h, no abbreviations)."""
+    parser = _Parser(prog="kgyukawa", usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                     description="Bound states of the D-dimensional Klein-Gordon equation "
+                     "with scalar/vector Yukawa couplings.", add_help=False,
+                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"%(prog)s, version {__version__}")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                     required=True, prog="kgyukawa")
+    for name, (run, _) in COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  usage="%(prog)s [OPTIONS]", add_help=False,
+                                  allow_abbrev=False)
+        for flag, kwargs in FLAGS[name].items():
+            text = kwargs.get("help", "")
+            if "default" in kwargs:
+                text += " [default: %(default)s]"
+            metavar = None if "choices" in kwargs else METAVARS[kwargs.get("type")]
+            sub.add_argument(flag, **dict(kwargs, help=text, metavar=metavar))
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+PARSER = _parser()
+
+
+def _bind_values(args: list[str]) -> list[str]:
+    """args with each flag of the command joined to the token after it as
+    --flag=value: a flag's value is that token whatever it looks like
+    (--s0 -1e-05, --beta -inf, --n-range -1:2), where argparse takes a
+    token that starts with '-' for a flag unless it is a plain negative
+    number."""
+    if not args or args[0] not in COMMANDS:
+        return args
+    bound, rest = args[:1], iter(args[1:])
+    for token in rest:
+        if token == "--":  # the end of the flags; no command takes a token after it
+            tail = list(rest)
+            return bound + (["--", *tail] if tail else [])
+        value = next(rest, None) if token in FLAGS[args[0]] else None
+        bound.append(token if value is None else f"{token}={value}")
+    return bound
+
+
+def _config_args(command: str, path: str) -> list[str]:
+    """The JSON object in path as --flag=value tokens, read as if typed:
+    keys are flag names with dashes as underscores (other keys and null
+    values are ignored), and a value that is no string is written as
+    JSON, so that 2.7 is no integer."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"config {path} must hold a JSON object")
+    flags = {flag[2:].replace("-", "_"): flag for flag in FLAGS[command] if flag != "--config"}
+    return [f"{flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in data.items() if key in flags and value is not None]
+
+
+def _parse(args: list[str]) -> dict:
+    """The command's flags by name, the ranges as lists of integers.  A
+    flag not on the command line takes its --config value, or else its
+    default; --v0 and --a must get a value from one of the first two."""
+    args = _bind_values(args)
+    params = vars(PARSER.parse_args(args))
+    if params["config"] is not None:
+        config = _config_args(params["command"], params["config"])
+        params = vars(PARSER.parse_args([args[0], *config, *args[1:]]))
+    for name in ("n_range", "l_range", "dim_range"):
+        if name in params:
+            params[name] = parse_range(params[name])
+    for name in ("v0", "a"):
+        if params[name] is None:
+            PARSER.error(f"Missing option '--{name}'.")
+    return params
 
 
 def main(argv=None) -> int:
     """Entry point mapping typed errors onto the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.Abort:
-        return EXIT_INVALID_INPUT
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        params = _parse(sys.argv[1:] if argv is None else list(argv))
+        COMMANDS[params["command"]][0](params)
+    except SystemExit as exc:  # from the parser: --help, --version or a rejected command line
+        return exc.code
     except DomainError as exc:
-        click.echo(f"invalid input: {exc}", file=sys.stderr)
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except _NO_SOLUTION as exc:
-        click.echo(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"no solution: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (NonFinite, NormalizationFailure) as exc:
-        click.echo(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except KgYukawaError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

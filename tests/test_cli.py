@@ -4,10 +4,12 @@ import csv
 import gc
 import io
 import json
+import re
 import weakref
 
 import pytest
 
+import kgyukawa
 from kgyukawa import (
     ComplexChannel,
     KgYukawaError,
@@ -113,12 +115,14 @@ def test_table_no_bound_state_rows_exit_zero(capsys):
 
 
 def test_redirected_streams_are_freed():
-    # click.echo without an explicit file caches each redirected stream
-    # under a value that refers back to it, so the stream is never freed
+    # perfbench and the output tests redirect both streams on every call,
+    # so a stream the command line keeps a reference to is never freed
     refs = []
     for argv, want in (
         (["solve", *BASE], 0),
         (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "5.0", "--mass", "1"], 2),
+        (["--help"], 0),
+        (["solve", "--help"], 0),
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -126,7 +130,7 @@ def test_redirected_streams_are_freed():
         refs += [weakref.ref(out), weakref.ref(err)]
         del out, err
     gc.collect()
-    assert [r() is None for r in refs] == [True] * 4
+    assert [r() is None for r in refs] == [True] * len(refs)
 
 
 def test_table_json(capsys):
@@ -372,3 +376,74 @@ def test_library_errors_map_onto_exit_codes(capsys, monkeypatch, error, code, me
 
     monkeypatch.setattr("kgyukawa.cli.solve_energy", fail)
     assert run(capsys, ["solve", *BASE]) == (code, "", message + "\n")
+
+
+def test_version_needs_no_installed_metadata(capsys):
+    assert run(capsys, ["--version"]) == (0, f"kgyukawa, version {kgyukawa.__version__}\n", "")
+
+
+STATE_DEFAULTS = {"--n": "1", "--l": "0", "--dim": "3"}
+GRID_DEFAULTS = {"--n-range": "1:3", "--l-range": "0:2", "--dim-range": "3:10"}
+# each command's flags besides the common ones, with the defaults --help shows
+HELP_DEFAULTS = {
+    "solve": STATE_DEFAULTS,
+    "table": GRID_DEFAULTS,
+    "degeneracy": {**GRID_DEFAULTS, "--max-delta": "1e-10"},
+    "wavefunction": {**STATE_DEFAULTS, "--points": "4096"},
+    "potential": {"--r-min": "0.1", "--r-max": "20.0", "--points": "400"},
+    "oracle": {**STATE_DEFAULTS, "--mode": "approximated", "--points": "16000"},
+    "limits": {**STATE_DEFAULTS, "--a-sequence": "0.002,0.001,0.0005"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_documents_its_flags(capsys, command):
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == 0
+    # one block per flag: its line and the lines its help wraps onto
+    blocks = {block.split()[0]: " ".join(block.split())
+              for block in re.split(r"\n  (?=--)", out)[1:]}
+    assert list(blocks) == ["--v0", "--s0", "--beta", "--a", "--mass", "--format", "--out",
+                            "--config", *HELP_DEFAULTS[command], "--help"]
+    for flag, default in {"--mass": "1.0", **HELP_DEFAULTS[command]}.items():
+        assert f"[default: {default}]" in blocks[flag]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["table", *BASE, "--n-range", ","], "invalid input: range ',' names no value\n"),
+    (["degeneracy", *BASE, "--l-range", " , "], "invalid input: range ',' names no value\n"),
+    (["limits", *BASE, "--a-sequence", ","], "invalid input: --a-sequence ',' names no value\n"),
+    (["limits", *BASE, "--a-sequence", ""], "invalid input: --a-sequence '' names no value\n"),
+], ids=["table", "degeneracy", "limits", "limits-blank"])
+def test_empty_range_or_sequence_is_input_error(capsys, argv, err):
+    assert run(capsys, argv) == (1, "", err)
+
+
+SOLVED = "energy = -0.98885705\nepsilon = 0.14886819\nresidual = 1.2057022e-12\niterations = 31\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # a value that starts with '-' binds to its flag, whatever follows the '-'
+    (["solve", "--v0", "0.2", "--s0", "-1e-05", "--a", "0.05"], 0,
+     "energy = -0.97999387\nepsilon = 0.19902765\nresidual = 5.78870285e-13\niterations = 31\n",
+     ""),
+    (["solve", "--v0", "0.2", "--beta", "-0.5", "--a", "0.05"], 0,
+     "energy = -0.96866036\nepsilon = 0.24838902\nresidual = 1.68309811e-13\niterations = 31\n",
+     ""),
+    (["solve", "--v0", "0.2", "--beta", "-inf", "--a", "0.05"], 1, "",
+     "invalid input: s0 must be finite, got -inf\n"),
+    (["table", *BASE, "--n-range", "-1:2", "--l-range", "0", "--dim-range", "3"], 0,
+     "dim,n,l,energy,residual,status\n3,-1,0,,,error\n3,0,0,,,error\n"
+     "3,1,0,-0.98885705,1.2057022e-12,ok\n3,2,0,-0.98338741,4.68958206e-13,ok\n", ""),
+    (["solve", "--v0", "0.2", "--s0", "--a", "0.05"], 1, "",
+     "error: argument --s0: invalid float value: '--a'\n"),
+    (["solve", "--v0=0.2", "--s0", "0.1", "--a", "0.05"], 0, SOLVED, ""),
+    (["solve", "--v0", "0.3", *BASE], 0, SOLVED, ""),
+    (["solve", *BASE, "--mas", "1"], 1, "", "error: unrecognized arguments: --mas 1\n"),
+    (["solve", *BASE, "--"], 0, SOLVED, ""),
+    (["solve", *BASE, "--", "--n", "2"], 1, "", "error: unrecognized arguments: -- --n 2\n"),
+], ids=["s0-exponent", "beta-negative", "beta-minus-inf", "range-negative", "flag-as-value",
+        "equals", "repeated-last-wins", "no-abbreviation", "end-of-flags",
+        "flag-after-end-of-flags"])
+def test_edge_tokens_parse_as_before(capsys, argv, code, out, err):
+    assert run(capsys, argv) == (code, out, err)
