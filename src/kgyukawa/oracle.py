@@ -322,13 +322,13 @@ def oracle_energy(
     bracket (or on a coarse scan of (-M, M) when none is given) and
     Richardson-extrapolates against the doubled grid, whose root is
     sought outward from the coarse one, at most 1e-4 away from it.
-    eigen_index, a non-negative integer, defaults to n - 1, pairing the
-    node ordering with the radial label; when the pairing (or the
+    eigen_index, a non-negative integer, defaults to n: on the decaying
+    branch the state labelled n has n nodes.  When the pairing (or the
     bracket) is wrong, or the doubled grid has no root next to the coarse
     one, this raises :class:`NoRootInBracket` rather than silently
     reindexing or pairing different roots.
     """
-    k = qn.n - 1 if eigen_index is None else _integer(eigen_index, "eigen_index", 0)
+    k = qn.n if eigen_index is None else _integer(eigen_index, "eigen_index", 0)
     scan_points = _integer(scan_points, "scan_points", 0)
     root = _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points)
 
@@ -372,11 +372,12 @@ def cross_validate(
     """Compare the quantization-equation energy with the eigensolver.
 
     Tries the bracket [E_solver - 5e-3, E_solver + 5e-3] at eigen_index
-    n - 1 first; on failure reports the mismatch explicitly, with the
-    lowest closure root at the same eigen_index: the one in the first
-    sign change of a 101-point scan up from -M(1 - 1e-6).
+    n, where the decaying state with the same label lies, first; on
+    failure reports the mismatch explicitly, with the lowest closure root
+    at the same eigen_index: the one in the first sign change of a
+    101-point scan up from -M(1 - 1e-6).
     """
-    k = qn.n - 1
+    k = qn.n
     e_solver = solve_energy(pp, mp, qn).energy
     eps_est = math.sqrt(mp.mass**2 - e_solver**2)
     grid = default_oracle_grid(eps_est, points=points)

@@ -12,32 +12,30 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-
 # bisect returns after this many halvings even if the bracket is wider than tol
 _MAX_ITER = 200
-# values of fs the scan converts to Python floats at once
+# a slice of the scan holds _SCAN_CHUNK + 1 points, one shared with the next
 _SCAN_CHUNK = 2048
 
 
-def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float, float]]:
-    """Intervals (xs[i], xs[i+1], fs[i]) where fs changes sign, an exact zero
-    at xs[i] as (xs[i], xs[i], 0.0); non-finite values break runs.  Signs
-    are compared, not multiplied: a product can underflow or overflow.
-    Raises :class:`DomainError` when xs and fs differ in length.
+def sign_change_brackets(f: Callable, xs: Sequence[float]) -> list[tuple[float, float, float]]:
+    """Intervals (xs[i], xs[i+1], f(xs)[i]) where the vectorised f changes
+    sign, an exact zero at xs[i] as (xs[i], xs[i], 0.0); non-finite values
+    break runs.  Signs are compared, not multiplied: a product can
+    underflow or overflow.
 
-    The loop runs on Python floats: fs is converted (``tolist``) in slices
-    of _SCAN_CHUNK + 1 values that overlap by one point, so no list of the
-    whole scan is ever held; xs is read only where a bracket is found.
+    f is called on slices xs[start:start + _SCAN_CHUNK + 1] that overlap
+    by one point, and the loop runs on each slice's values as Python
+    floats (``tolist``), so no array or list of the whole scan's values is
+    ever held; xs is read only where a bracket is found.
     """
     xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if len(xs) != len(fs):
-        raise DomainError(f"xs and fs differ in length: {len(xs)} != {len(fs)}")
+    n = len(xs)
     inf = math.inf
     out = []
-    for start in range(0, len(fs) - 1, _SCAN_CHUNK):
-        chunk = fs[start:start + _SCAN_CHUNK + 1].tolist()
+    # a 1-point scan still evaluates its point, for the zero check below
+    for start in range(0, n - (n > 1), _SCAN_CHUNK):
+        chunk = f(xs[start:start + _SCAN_CHUNK + 1]).tolist()
         for i in range(len(chunk) - 1):
             a, b = chunk[i], chunk[i + 1]
             if not (-inf < a < inf and -inf < b < inf):
@@ -47,7 +45,7 @@ def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple
                 out.append((x, x, 0.0))
             elif a < 0.0 < b or b < 0.0 < a:
                 out.append((float(xs[start + i]), float(xs[start + i + 1]), a))
-    if len(fs) and fs[-1] == 0.0:
+    if n and chunk[-1] == 0.0:
         x = float(xs[-1])
         out.append((x, x, 0.0))
     return out

@@ -168,15 +168,14 @@ def solve_energy(
     state for these quantum numbers at these couplings.
     """
     m = mp.mass
-    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
-    values = energy_equation_residual(grid, pp, mp, qn, branch)
-    brackets = sign_change_brackets(grid, values)
-    if not brackets:
-        raise _no_bound_state(branch, qn)
 
-    def f(E: float) -> float:
+    def f(E):
         return energy_equation_residual(E, pp, mp, qn, branch)
 
+    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
+    brackets = sign_change_brackets(f, grid)
+    if not brackets:
+        raise _no_bound_state(branch, qn)
     # brackets are disjoint and ascending, so their roots are too
     lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
     root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)

@@ -668,23 +668,24 @@ def test_cross_validation_surfaces_branch_discrepancy(pp_plus):
     cmp_ = cross_validate(pp_plus, MP, qn, mode="approximated", points=2000)
     assert cmp_.status == "no_root_in_bracket"
     assert cmp_.e_solver == pytest.approx(-0.99503719, abs=1e-7)
-    assert cmp_.nearest_root is not None
-    # the nearest genuine root at eigen_index n-1 is the nodeless state
-    assert cmp_.nearest_root == pytest.approx(0.9411, abs=1e-3)
+    assert cmp_.eigen_index == 1
+    # the nearest genuine root at eigen_index n is the one-node state, the
+    # decaying one of the same label (closed form 0.99503719)
+    assert cmp_.nearest_root == pytest.approx(0.99504474, abs=1e-8)
 
 
 def test_cross_validation_validates_the_state_its_pairing_reaches(monkeypatch, pp_plus):
     # On the decaying branch the state labelled n has n nodes, so its
-    # closure root sits at eigen_index n, where cross_validate looks at
-    # n - 1: the energy it can confirm is the decaying one of (n - 1, l, d).
-    # No solver energy reaches "validated" unpatched: the published ones
-    # are not eigenvalues (acceptance criterion 4).
-    below = solve_energy(pp_plus, MP, QuantumNumbers(n=1, l=0, d=3), branch="decaying")
-    monkeypatch.setattr("kgyukawa.oracle.solve_energy", lambda pp, mp, qn: below)
-    cmp_ = cross_validate(pp_plus, MP, QuantumNumbers(n=2, l=0, d=3), points=2000)
+    # closure root sits at eigen_index n, where cross_validate looks.  No
+    # solver energy reaches "validated" unpatched: the published ones are
+    # not eigenvalues (acceptance criterion 4).
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    decaying = solve_energy(pp_plus, MP, qn, branch="decaying")
+    monkeypatch.setattr("kgyukawa.oracle.solve_energy", lambda pp, mp, qn: decaying)
+    cmp_ = cross_validate(pp_plus, MP, qn, points=2000)
     assert cmp_.status == "validated"
-    assert (cmp_.mode, cmp_.eigen_index, cmp_.e_solver) == ("approximated", 1, below.energy)
+    assert (cmp_.mode, cmp_.eigen_index, cmp_.e_solver) == ("approximated", 1, decaying.energy)
     # 1.2e-6 at 2000 points in approximated mode
-    assert cmp_.delta == abs(cmp_.richardson - below.energy) < 1e-5
-    assert abs(cmp_.e_oracle - below.energy) < 5e-3
+    assert cmp_.delta == abs(cmp_.richardson - decaying.energy) < 1e-5
+    assert abs(cmp_.e_oracle - decaying.energy) < 5e-3
     assert cmp_.nearest_root is None and cmp_.nearest_delta is None

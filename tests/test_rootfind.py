@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgyukawa import DomainError
 from kgyukawa.rootfind import _SCAN_CHUNK, bisect, sign_change_brackets
 from reference_scan import reference_brackets
 
@@ -16,40 +15,57 @@ _SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324
 _LENGTHS = (0, 1, 2, _SCAN_CHUNK, _SCAN_CHUNK + 1, 20000)
 
 
+def brackets_of(xs, fs):
+    """sign_change_brackets over xs of the vectorised f with f(xs) == fs;
+    xs is strictly increasing."""
+    xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
+    return sign_change_brackets(lambda part: fs[np.searchsorted(xs, part)], xs)
+
+
 def test_scan_brackets_carry_their_left_end_value():
     xs = [0.0, 1.0, 2.0, 3.0, 4.0]
     fs = [3.0, -1.0, -2.0, 5.0, 4.0]
-    assert sign_change_brackets(xs, fs) == [(0.0, 1.0, fs[0]), (2.0, 3.0, fs[2])]
+    assert brackets_of(xs, fs) == [(0.0, 1.0, fs[0]), (2.0, 3.0, fs[2])]
 
 
-@pytest.mark.parametrize("fs, want", [
-    ([1.0, 0.0, -1.0, -2.0], [(1.0, 1.0, 0.0)]),
-    ([1.0, 2.0, 3.0, 0.0], [(3.0, 3.0, 0.0)]),
-], ids=["inside", "last-point"])
-def test_exact_zero_gives_degenerate_bracket(fs, want):
-    assert sign_change_brackets([0.0, 1.0, 2.0, 3.0], fs) == want
+@pytest.mark.parametrize("xs, fs, want", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, -1.0, -2.0], [(1.0, 1.0, 0.0)]),
+    ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 0.0], [(3.0, 3.0, 0.0)]),
+    ([2.0], [0.0], [(2.0, 2.0, 0.0)]),
+], ids=["inside", "last-point", "only-point"])
+def test_exact_zero_gives_degenerate_bracket(xs, fs, want):
+    assert brackets_of(xs, fs) == want
 
 
 def test_non_finite_value_breaks_a_run():
     xs = [0.0, 1.0, 2.0, 3.0]
-    assert sign_change_brackets(xs, [1.0, math.nan, -1.0, -2.0]) == []
-    assert sign_change_brackets(xs, [1.0, math.inf, -1.0, 1.0]) == [(2.0, 3.0, -1.0)]
+    assert brackets_of(xs, [1.0, math.nan, -1.0, -2.0]) == []
+    assert brackets_of(xs, [1.0, math.inf, -1.0, 1.0]) == [(2.0, 3.0, -1.0)]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_sign_change_found_where_the_product_under_or_overflows(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        brackets = sign_change_brackets([0.0, 1.0, 2.0], [-scale, scale, 2.0 * scale])
+        brackets = brackets_of([0.0, 1.0, 2.0], [-scale, scale, 2.0 * scale])
     assert brackets == [(0.0, 1.0, -scale)]
 
 
-def test_length_mismatch_is_domain_error():
-    fs = [1.0, -1.0, 0.0]
-    # the zero at fs[-1] must not be paired with a shorter xs's last point
-    for xs in ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0]):
-        with pytest.raises(DomainError, match="differ in length"):
-            sign_change_brackets(xs, fs)
+@pytest.mark.parametrize("n", _LENGTHS + (2 * _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK + 2))
+def test_scan_evaluates_overlapping_slices_that_cover_xs_once(n):
+    xs = np.arange(n, dtype=float)
+    calls = []
+
+    def f(part):
+        calls.append(part.copy())
+        return np.ones_like(part)
+
+    assert sign_change_brackets(f, xs) == []
+    assert all(min(n, 2) <= len(part) <= _SCAN_CHUNK + 1 for part in calls)
+    # each slice starts on the last point of the one before it, and
+    # together they are xs
+    assert all(part[0] == before[-1] for before, part in zip(calls, calls[1:]))
+    assert [x for i, part in enumerate(calls) for x in part[i > 0:]] == xs.tolist()
 
 
 def _hex(brackets):
@@ -79,7 +95,7 @@ def scans(draw):
 @given(case=scans())
 def test_scan_matches_reference_scan(case):
     xs, fs = case
-    assert _hex(sign_change_brackets(xs, fs)) == _hex(reference_brackets(xs, fs))
+    assert _hex(brackets_of(xs, fs)) == _hex(reference_brackets(xs, fs))
 
 
 def test_bisect_evaluates_only_midpoints():

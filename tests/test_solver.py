@@ -1,6 +1,7 @@
 """Energy equation, root finder, tables and radial wavefunctions."""
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,20 @@ def test_solver_matches_reference_scan_and_bisect():
         assert _outcome(solve, pp, qn, branch) == want
         found[branch] += isinstance(want, tuple)
     assert all(found.values()), found
+
+
+def test_solve_holds_no_array_of_the_whole_scan():
+    # the 20000-point grid takes 160 kB; the residual over all of it, and
+    # each temporary that computing it makes, would take as much again
+    args = (PotentialParams(0.2, 0.1, 0.05), ParticleParams(1.0), QuantumNumbers(1, 0, 3))
+    solve_energy(*args)
+    tracemalloc.start()
+    try:
+        solve_energy(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_small_screening_root_survives_consistency_check():
