@@ -1,14 +1,14 @@
 """Bracketing and bisection helpers shared by the solvers.
 
 Bisection is used throughout because the residuals carry square-root
-kinks; inside a bracket it converges unconditionally.  The scan hands
-each bracket over with its left-end value, so bisection evaluates f only
-at midpoints.
+kinks; inside a bracket it converges unconditionally.  The scan runs
+down from the top of its grid and hands each bracket over as it finds
+it, with its left-end value, so bisection evaluates f only at midpoints.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,37 +18,40 @@ _MAX_ITER = 200
 _SCAN_CHUNK = 2048
 
 
-def sign_change_brackets(f: Callable, xs: Sequence[float]) -> list[tuple[float, float, float]]:
+def sign_change_brackets(f: Callable, xs: Sequence[float]) -> Iterator[tuple[float, float, float]]:
     """Intervals (xs[i], xs[i+1], f(xs)[i]) where the vectorised f changes
     sign, an exact zero at xs[i] as (xs[i], xs[i], 0.0); non-finite values
     break runs.  Signs are compared, not multiplied: a product can
     underflow or overflow.
 
-    f is called on slices xs[start:start + _SCAN_CHUNK + 1] that overlap
-    by one point, and the loop runs on each slice's values as Python
+    A generator that runs down from the top of xs: a zero at xs[-1]
+    comes first, then the brackets in descending order.  f is called on
+    slices xs[start:start + _SCAN_CHUNK + 1] that overlap by one point,
+    the last slice first and each one only when the brackets above it
+    are used up, and the loop runs on each slice's values as Python
     floats (``tolist``), so no array or list of the whole scan's values is
-    ever held; xs is read only where a bracket is found.
+    ever held; xs is read only where a bracket is found.  A caller that
+    wants the highest bracket stops after the first; one that wants the
+    lowest runs the whole scan.
     """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     inf = math.inf
-    out = []
-    # a 1-point scan still evaluates its point, for the zero check below
-    for start in range(0, n - (n > 1), _SCAN_CHUNK):
+    # a 1-point scan still evaluates its point, for the zero check on xs[-1]
+    for start in reversed(range(0, n - (n > 1), _SCAN_CHUNK)):
         chunk = f(xs[start:start + _SCAN_CHUNK + 1]).tolist()
-        for i in range(len(chunk) - 1):
+        if start + len(chunk) == n and chunk[-1] == 0.0:
+            x = float(xs[-1])
+            yield x, x, 0.0
+        for i in range(len(chunk) - 2, -1, -1):
             a, b = chunk[i], chunk[i + 1]
             if not (-inf < a < inf and -inf < b < inf):
                 continue
             if a == 0.0:
                 x = float(xs[start + i])
-                out.append((x, x, 0.0))
+                yield x, x, 0.0
             elif a < 0.0 < b or b < 0.0 < a:
-                out.append((float(xs[start + i]), float(xs[start + i + 1]), a))
-    if n and chunk[-1] == 0.0:
-        x = float(xs[-1])
-        out.append((x, x, 0.0))
-    return out
+                yield float(xs[start + i]), float(xs[start + i + 1]), a
 
 
 def bisect(

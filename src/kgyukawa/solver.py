@@ -6,8 +6,10 @@ approximants (valid for a*r << 1), maps under s = exp(-2ar) onto the
 canonical hypergeometric-type form of :mod:`kgyukawa.nu`
 (:func:`map_to_nu`).  The shortcut's results are used here in closed
 form: the quantization condition in K = 2n+1+Lambda and eps, with two
-branches (see :func:`energy_equation_residual`), is solved by dense
-scanning plus bisection, and the wavefunction exponents and Jacobi
+branches (see :func:`energy_equation_residual`), is solved by a dense
+scan that runs down from +M, with bisection in the bracket it keeps: the
+decaying branch stops at the first bracket below +M, the published branch
+scans down to -M for the last one.  The wavefunction exponents and Jacobi
 parameters are written down directly (see :func:`radial_wavefunction`).
 """
 from __future__ import annotations
@@ -159,10 +161,11 @@ def solve_energy(
     couplings and (n, l, d).
 
     Scans the branch's residual on SCAN_POINTS uniform points over
-    (-M, M) for sign changes and refines by bisection, to
-    |dE| < TOLERANCE, the lowest root on the "published" branch or the
-    highest on the "decaying" branch (the state with a nonrelativistic
-    counterpart near E = +M).
+    (-M, M) for sign changes, from +M down, and refines by bisection, to
+    |dE| < TOLERANCE, the lowest root on the "published" branch, which
+    scans all the way down to -M, or the highest on the "decaying"
+    branch (the state with a nonrelativistic counterpart near E = +M),
+    which stops at the first bracket below +M.
 
     Raises :class:`NoRootInBracket` when no root is found: no bound
     state for these quantum numbers at these couplings.
@@ -173,11 +176,15 @@ def solve_energy(
         return energy_equation_residual(E, pp, mp, qn, branch)
 
     grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
-    brackets = sign_change_brackets(f, grid)
-    if not brackets:
+    # brackets are disjoint and come down from +M, so their roots do too:
+    # the decaying branch keeps the first, the published one the last
+    bracket = None
+    for bracket in sign_change_brackets(f, grid):
+        if branch == "decaying":
+            break
+    if bracket is None:
         raise _no_bound_state(branch, qn)
-    # brackets are disjoint and ascending, so their roots are too
-    lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
+    lo, hi, f_lo = bracket
     root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
     return EnergySolution(
         energy=float(root),
@@ -319,7 +326,8 @@ def radial_wavefunction(
         raise DomainError("grid must be strictly positive and increasing")
 
     s = np.exp(-2.0 * pp.a * r)
-    raw = (s ** (alpha / 2.0) * (1.0 - s) ** ((1.0 + beta) / 2.0)
+    # 1 - s from expm1: the plain difference cancels where 2ar << 1
+    raw = (s ** (alpha / 2.0) * (-np.expm1(-2.0 * pp.a * r)) ** ((1.0 + beta) / 2.0)
            * jacobi_eval(qn.n, alpha, beta, 1.0 - 2.0 * s))
 
     density = raw * raw

@@ -15,17 +15,22 @@ _SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324
 _LENGTHS = (0, 1, 2, _SCAN_CHUNK, _SCAN_CHUNK + 1, 20000)
 
 
-def brackets_of(xs, fs):
-    """sign_change_brackets over xs of the vectorised f with f(xs) == fs;
-    xs is strictly increasing."""
+def lookup(xs, fs):
+    """The vectorised f with f(xs) == fs; xs is strictly increasing."""
     xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
-    return sign_change_brackets(lambda part: fs[np.searchsorted(xs, part)], xs)
+    return lambda part: fs[np.searchsorted(xs, part)]
+
+
+def brackets_of(xs, fs):
+    """Every bracket sign_change_brackets yields over xs for f(xs) == fs."""
+    return list(sign_change_brackets(lookup(xs, fs), xs))
 
 
 def test_scan_brackets_carry_their_left_end_value():
     xs = [0.0, 1.0, 2.0, 3.0, 4.0]
     fs = [3.0, -1.0, -2.0, 5.0, 4.0]
-    assert brackets_of(xs, fs) == [(0.0, 1.0, fs[0]), (2.0, 3.0, fs[2])]
+    # from the top of xs down
+    assert brackets_of(xs, fs) == [(2.0, 3.0, fs[2]), (0.0, 1.0, fs[0])]
 
 
 @pytest.mark.parametrize("xs, fs, want", [
@@ -60,10 +65,11 @@ def test_scan_evaluates_overlapping_slices_that_cover_xs_once(n):
         calls.append(part.copy())
         return np.ones_like(part)
 
-    assert sign_change_brackets(f, xs) == []
+    assert list(sign_change_brackets(f, xs)) == []
     assert all(min(n, 2) <= len(part) <= _SCAN_CHUNK + 1 for part in calls)
-    # each slice starts on the last point of the one before it, and
-    # together they are xs
+    # the slices come from the top of xs down; in xs order each starts on
+    # the last point of the one before it, and together they are xs
+    calls.reverse()
     assert all(part[0] == before[-1] for before, part in zip(calls, calls[1:]))
     assert [x for i, part in enumerate(calls) for x in part[i > 0:]] == xs.tolist()
 
@@ -95,7 +101,26 @@ def scans(draw):
 @given(case=scans())
 def test_scan_matches_reference_scan(case):
     xs, fs = case
-    assert _hex(brackets_of(xs, fs)) == _hex(reference_brackets(xs, fs))
+    assert _hex(brackets_of(xs, fs)) == _hex(reference_brackets(xs, fs)[::-1])
+
+
+@pytest.mark.parametrize("top", [[-1.0, 1.0], [1.0, 0.0]], ids=["sign-change", "zero-at-end"])
+def test_first_bracket_needs_only_the_top_slice(top):
+    n = 20000
+    xs = np.linspace(-1.0, 1.0, n)
+    fs = np.ones(n)
+    fs[:2] = -1.0  # a bracket in the bottom slice too
+    fs[-2:] = top
+    f = lookup(xs, fs)
+    calls = []
+
+    def counted(part):
+        calls.append(len(part))
+        return f(part)
+
+    first = next(sign_change_brackets(counted, xs))
+    assert first == reference_brackets(xs, fs)[-1]
+    assert len(calls) == 1 and calls[0] <= _SCAN_CHUNK + 1
 
 
 def test_bisect_evaluates_only_midpoints():

@@ -204,15 +204,32 @@ def test_solver_matches_reference_scan_and_bisect():
 def test_solve_holds_no_array_of_the_whole_scan():
     # the 20000-point grid takes 160 kB; the residual over all of it, and
     # each temporary that computing it makes, would take as much again
-    args = (PotentialParams(0.2, 0.1, 0.05), ParticleParams(1.0), QuantumNumbers(1, 0, 3))
-    solve_energy(*args)
-    tracemalloc.start()
-    try:
+    for branch in ("published", "decaying"):
+        args = (PotentialParams(0.2, 0.1, 0.05), ParticleParams(1.0), QuantumNumbers(1, 0, 3), branch)
         solve_energy(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 400_000
+        tracemalloc.start()
+        try:
+            solve_energy(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000, branch
+
+
+@pytest.mark.parametrize("branch, slices", [("decaying", 1), ("published", 10)])
+def test_decaying_solve_scans_only_the_top_slice(monkeypatch, branch, slices):
+    # a `kgyukawa limits` state: the halved couplings of v0 = 0.1, s0 = 0.05
+    # at a = 0.002; its decaying root lies in the top slice of the scan,
+    # and the published branch scans on down to -M
+    scanned = []
+
+    def counted(E, *args):
+        scanned.append(np.ndim(E))
+        return energy_equation_residual(E, *args)
+
+    monkeypatch.setattr("kgyukawa.solver.energy_equation_residual", counted)
+    solve_energy(PotentialParams(0.05, 0.025, 0.002), MP, QuantumNumbers(1, 0, 3), branch)
+    assert scanned.count(1) == slices  # the scalar calls are bisection's
 
 
 def test_small_screening_root_survives_consistency_check():
@@ -388,6 +405,28 @@ def test_wavefunction_tail_is_exponential(pp_plus):
     j = np.searchsorted(r, 18.0 / sol.epsilon)
     ratio = v[j] / v[i]
     assert ratio == pytest.approx(math.exp(-sol.epsilon * (r[j] - r[i])), rel=0.01)
+
+
+@pytest.mark.parametrize("a", [0.05, 1e-4])
+def test_wavefunction_near_the_origin_matches_high_precision(a):
+    # R(r)/R(peak) on the first 40 default-grid samples, against the same
+    # closed form at 50 digits; 1 - exp(-2ar) taken as a plain difference
+    # cancels there (errors of 6.4e-7 at a = 0.05 and 3.3e-4 at a = 1e-4)
+    mpmath = pytest.importorskip("mpmath")
+    pp, qn = PotentialParams(v0=0.2, s0=0.1, a=a), QuantumNumbers(n=1, l=0, d=3)
+    wf = radial_wavefunction(solve_energy(pp, MP, qn, "decaying"), pp, MP, qn)
+
+    def closed_form(r):
+        with mpmath.workdps(50):
+            s = mpmath.exp(-2 * mpmath.mpf(a) * mpmath.mpf(float(r)))
+            return (s ** (mpmath.mpf(wf.jacobi_alpha) / 2)
+                    * (1 - s) ** ((1 + mpmath.mpf(wf.jacobi_beta)) / 2)
+                    * mpmath.jacobi(qn.n, wf.jacobi_alpha, wf.jacobi_beta, 1 - 2 * s))
+
+    peak = int(np.argmax(np.abs(wf.values)))
+    want = [closed_form(r) / closed_form(wf.r[peak]) for r in wf.r[:40]]
+    got = wf.values[:40] / wf.values[peak]
+    assert max(float(abs(g / w - 1)) for g, w in zip(got, want)) < 1e-12
 
 
 def test_wavefunction_equal_mixture_prefactor(pp_plus):
