@@ -28,7 +28,7 @@ from .errors import (
 )
 from .limits import NonRelParams, coulomb_energy, nonrel_energy, nonrel_limit_of_relativistic
 from .oracle import DEFAULT_ORACLE_POINTS, cross_validate
-from .params import ParticleParams, PotentialParams, QuantumNumbers, degeneracy_partner
+from .params import PARTNER_SHIFT, ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import profile
 from .solver import (
     DEFAULT_WF_POINTS,
@@ -165,34 +165,25 @@ def _degeneracy(params):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
     pp, mp, _ = _inputs(params)
     max_delta = _finite(params["max_delta"], "--max-delta")
-
-    def solved(qn, direction=None):
-        """qn, or its partner going direction, with its energy; (None, None)
-        when the partner leaves the domain or the state has no solution."""
-        try:
-            state = qn if direction is None else degeneracy_partner(qn, direction)
-            return state, solve_energy(pp, mp, state).energy
-        except _NO_SOLUTION:
-            return None, None
-
+    n_range, l_range, d_range = params["n_range"], params["l_range"], params["dim_range"]
+    states = solve_table(pp, mp, n_range, l_range, d_range)
+    for cell in states:
+        if cell.status == "error":  # an invalid n, l or D, or couplings too large
+            raise DomainError(cell.message)
+    # cell i of each partner table is the partner of state cell i
+    partners = {direction: solve_table(pp, mp, n_range, [l + dl for l in l_range],
+                                       [d + dd for d in d_range])
+                for direction, (dl, dd) in PARTNER_SHIFT.items()}
     records = []
-    worst = 0.0
-    for d in params["dim_range"]:
-        for n in params["n_range"]:
-            for l in params["l_range"]:
-                qn, e = solved(QuantumNumbers(n=n, l=l, d=d))
-                if qn is None:
-                    continue
-                for direction in ("up", "down"):
-                    partner, e_p = solved(qn, direction)
-                    if partner is None:
-                        continue
-                    delta = abs(e - e_p)
-                    worst = max(worst, delta)
-                    records.append(dict(zip(
-                        DEGENERACY_COLUMNS,
-                        (d, n, l, direction, partner.d, partner.l, e, e_p, delta),
-                    )))
+    for state, *pair in zip(states, *partners.values()):
+        for direction, partner in zip(partners, pair):
+            # a partner shares the state's K, so its cell is an error only
+            # where it leaves the domain of (n, l, d)
+            if state.status == partner.status == "ok":
+                records.append(dict(zip(DEGENERACY_COLUMNS, (
+                    state.dim, state.n, state.l, direction, partner.dim, partner.l,
+                    state.energy, partner.energy, abs(state.energy - partner.energy)))))
+    worst = max((rec["delta"] for rec in records), default=0.0)
     payload = {"rows": _formatted(DEGENERACY_COLUMNS, records), "max_delta": worst}
     _emit(params, DEGENERACY_COLUMNS, records, payload)
     print(f"max |delta| = {fmt_num(worst)}", file=sys.stderr)

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _finite, _positive
+from .errors import DomainError, NonFinite, _finite, _positive
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .solver import solve_energy
 
@@ -32,16 +32,29 @@ def effective_level(qn: QuantumNumbers) -> float:
     return qn.n + qn.d / 2.0 + qn.l - 0.5
 
 
+def _finite_energy(energy: float, name: str, qn: QuantumNumbers) -> float:
+    """energy, unless it is not a finite float (a NonFinite)."""
+    if not -math.inf < energy < math.inf:
+        raise NonFinite(f"{name} energy for {qn} is not finite: {energy}")
+    return energy
+
+
 def nonrel_energy(p: NonRelParams, qn: QuantumNumbers) -> float:
-    """Screened-Coulomb Schrodinger energy -(1/2mu) * (nu*a - mu*v0/nu)^2."""
+    """Screened-Coulomb Schrodinger energy -(1/2mu) * (nu*a - mu*v0/nu)^2.
+    Raises :class:`NonFinite` when it is not a finite float."""
     nu = effective_level(qn)
-    return -(1.0 / (2.0 * p.mu)) * (nu * p.a - p.mu * p.v0 / nu) ** 2
+    try:
+        energy = -(1.0 / (2.0 * p.mu)) * (nu * p.a - p.mu * p.v0 / nu) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        energy = -math.inf
+    return _finite_energy(energy, "nonrelativistic", qn)
 
 
 def coulomb_energy(p: NonRelParams, qn: QuantumNumbers) -> float:
-    """Unscreened limit -mu*v0^2 / (2 nu^2); equals nonrel_energy at a = 0."""
+    """Unscreened limit -mu*v0^2 / (2 nu^2); equals nonrel_energy at a = 0.
+    Raises :class:`NonFinite` when it is not a finite float."""
     nu = effective_level(qn)
-    return -p.mu * p.v0 * p.v0 / (2.0 * nu * nu)
+    return _finite_energy(-p.mu * p.v0 * p.v0 / (2.0 * nu * nu), "coulomb", qn)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,9 @@ _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
 _HALF_WIDTH = 5e-3
 # grid points of default_oracle_grid and cross_validate
 DEFAULT_ORACLE_POINTS = 16000
+# points of the scan of (-M, M) that brackets the closure root when no
+# bracket is given
+_SCAN_POINTS = 101
 
 
 def _sturm_count(shifted, e2: float) -> int:
@@ -314,7 +317,7 @@ def oracle_energy(
     mode: str,
     eigen_index: Optional[int] = None,
     bracket: Optional[tuple[float, float]] = None,
-    scan_points: int = 101,
+    scan_points: int = _SCAN_POINTS,
 ) -> OracleResult:
     """Self-consistent bound-state energy from the frozen-E eigenproblem.
 
@@ -345,10 +348,12 @@ class OracleComparison:
     the eigensolver.
 
     status "validated" means a closure root exists in the +-5e-3
-    bracket around the solver energy; "no_root_in_bracket" is the labeled
-    discrepancy case, reported with the lowest closure root at the same
-    eigen_index (``nearest_root``, the first sign change of a 101-point
-    scan up from -M(1 - 1e-6)) when one exists.
+    bracket around the solver energy, on the grid and next to it on the
+    doubled grid; "no_root_in_bracket" is the labeled discrepancy case,
+    reported with the lowest closure root at the same eigen_index on the
+    grid alone (``nearest_root``, the first sign change of a 101-point
+    scan up from -M(1 - 1e-6), with no doubled grid or Richardson
+    estimate) when one exists.
     """
 
     mode: str
@@ -372,10 +377,12 @@ def cross_validate(
     """Compare the quantization-equation energy with the eigensolver.
 
     Tries the bracket [E_solver - 5e-3, E_solver + 5e-3] at eigen_index
-    n, where the decaying state with the same label lies, first; on
-    failure reports the mismatch explicitly, with the lowest closure root
-    at the same eigen_index: the one in the first sign change of a
-    101-point scan up from -M(1 - 1e-6).
+    n, where the decaying state with the same label lies, first, with
+    :func:`oracle_energy`; on failure reports the mismatch explicitly,
+    with the lowest closure root at the same eigen_index on the grid
+    alone: the one in the first sign change of a 101-point scan up from
+    -M(1 - 1e-6), bisected to 1e-12 and not checked against the doubled
+    grid.
     """
     k = qn.n
     e_solver = solve_energy(pp, mp, qn).energy
@@ -395,8 +402,8 @@ def cross_validate(
         pass
     lowest = {}
     try:
-        res = oracle_energy(pp, mp, qn, grid, mode, eigen_index=k, bracket=None)
-        lowest = dict(nearest_root=res.energy, nearest_delta=abs(res.energy - e_solver))
+        root = _closure_root(pp, mp, qn, grid, mode, k, None, _SCAN_POINTS)
+        lowest = dict(nearest_root=root, nearest_delta=abs(root - e_solver))
     except NoRootInBracket:
         pass
     return OracleComparison(**shared, status="no_root_in_bracket", **lowest)

@@ -5,9 +5,18 @@ screening parameter in fm^-1.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OutOfDomain, _finite, _integer, _positive
+
+# The largest integer a float holds exactly; the energy reads n, l and d
+# as floats.
+_LARGEST_EXACT = 2**53
+# Interdimensional partner of (n, l, d) in each direction, as (dl, dd):
+# d + 2l, and so the energy, stays the same.
+PARTNER_SHIFT = {"up": (1, -2), "down": (-1, 2)}
 
 
 @dataclass(frozen=True)
@@ -35,27 +44,32 @@ class PotentialParams:
 
 @dataclass(frozen=True)
 class ParticleParams:
-    """Rest mass M in fm^-1."""
+    """Rest mass M in fm^-1, whose square M^2 is a normal float: M from
+    about 1.5e-154 to 1.3e154."""
 
     mass: float
 
     def __post_init__(self):
         _positive(self.mass, "mass")
+        if not sys.float_info.min <= self.mass * self.mass < math.inf:
+            raise DomainError(f"mass must lie in about [1.5e-154, 1.3e154], where its "
+                              f"square is a normal float, got {self.mass}")
 
 
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Radial label n >= 1, orbital l >= 0 and spatial dimension d >= 2,
-    each an integer (Python or numpy)."""
+    each an integer (Python or numpy) of at most 2**53."""
 
     n: int
     l: int
     d: int
 
     def __post_init__(self):
-        _integer(self.n, "n", 1)
-        _integer(self.l, "l", 0)
-        _integer(self.d, "d", 2)
+        for name, least in (("n", 1), ("l", 0), ("d", 2)):
+            value = _integer(getattr(self, name), name, least)
+            if value > _LARGEST_EXACT:
+                raise DomainError(f"{name} must be <= 2**53, got {value}")
 
     def kappa(self) -> int:
         """Degenerate combination d + 2l - 2; the energy depends on (l, d)
@@ -70,18 +84,18 @@ class QuantumNumbers:
 
 
 def degeneracy_partner(qn: QuantumNumbers, direction: str) -> QuantumNumbers:
-    """Interdimensional partner state with the same kappa():
-    'up' -> (n, l+1, d-2), 'down' -> (n, l-1, d+2).
+    """Interdimensional partner state with the same kappa(), shifted by
+    PARTNER_SHIFT[direction]: 'up' -> (n, l+1, d-2), 'down' -> (n, l-1, d+2).
 
-    Raises :class:`OutOfDomain` when the partner leaves l >= 0, d >= 2.
+    Raises :class:`OutOfDomain` when the partner leaves the domain of
+    :class:`QuantumNumbers`.
     """
-    if direction == "up":
-        l, d = qn.l + 1, qn.d - 2
-    elif direction == "down":
-        l, d = qn.l - 1, qn.d + 2
-    else:
+    if direction not in PARTNER_SHIFT:
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if l < 0 or d < 2:
+    dl, dd = PARTNER_SHIFT[direction]
+    l, d = qn.l + dl, qn.d + dd
+    try:
+        return QuantumNumbers(n=qn.n, l=l, d=d)
+    except DomainError:
         raise OutOfDomain(f"partner of (n={qn.n}, l={qn.l}, d={qn.d}) going {direction} "
-                          f"would have l={l}, d={d}")
-    return QuantumNumbers(n=qn.n, l=l, d=d)
+                          f"would have l={l}, d={d}") from None

@@ -35,7 +35,8 @@ from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .rootfind import bisect, sign_change_brackets
 from .special import jacobi_eval
 
-# Uniform scan of (-M, M) for sign changes, and the bisection width.
+# Uniform scan of (-M, M) for sign changes, and the bisection width in
+# units of M.
 SCAN_POINTS = 20000
 TOLERANCE = 5e-14
 # Relative margin keeping this scan, and the oracle's searches, strictly
@@ -162,7 +163,7 @@ def solve_energy(
 
     Scans the branch's residual on SCAN_POINTS uniform points over
     (-M, M) for sign changes, from +M down, and refines by bisection, to
-    |dE| < TOLERANCE, the lowest root on the "published" branch, which
+    |dE| < TOLERANCE * M, the lowest root on the "published" branch, which
     scans all the way down to -M, or the highest on the "decaying"
     branch (the state with a nonrelativistic counterpart near E = +M),
     which stops at the first bracket below +M.
@@ -185,7 +186,7 @@ def solve_energy(
     if bracket is None:
         raise _no_bound_state(branch, qn)
     lo, hi, f_lo = bracket
-    root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
+    root, iters = bisect(f, lo, hi, f_lo, TOLERANCE * m)
     return EnergySolution(
         energy=float(root),
         epsilon=math.sqrt(m * m - root * root),

@@ -19,6 +19,7 @@ from kgyukawa import (
     OutOfDomain,
 )
 from kgyukawa.cli import main
+from kgyukawa.solver import solve_energy
 
 BASE = ["--v0", "0.2", "--s0", "0.1", "--a", "0.05", "--mass", "1"]
 
@@ -208,6 +209,24 @@ def test_degeneracy_command(capsys):
     assert all(float(r["delta"]) <= 1e-10 for r in rows)
 
 
+@pytest.mark.parametrize("beta, most", [("0.5", 99), ("1", 45), ("-1", 45)])
+def test_paper_grid_degeneracy_solves_each_table_once(monkeypatch, capsys, beta, most):
+    # the state table and one partner table per direction each solve every
+    # distinct K once; solving each state and each partner apart took 183
+    calls = []
+
+    def counted(pp, mp, qn, *args):
+        calls.append(qn)
+        return solve_energy(pp, mp, qn, *args)
+
+    monkeypatch.setattr("kgyukawa.solver.solve_energy", counted)
+    monkeypatch.setattr("kgyukawa.cli.solve_energy", counted)
+    code, out, _ = run(capsys, ["degeneracy", "--v0", "0.2", "--beta", beta, "--a", "0.05"])
+    assert code == 0
+    assert len(out.splitlines()) > 1
+    assert len(calls) <= most
+
+
 def test_wavefunction_csv_and_node_report(capsys):
     code, out, err = run(capsys, [
         "wavefunction", *BASE, "--n", "2", "--l", "0", "--dim", "3", "--points", "512",
@@ -358,6 +377,35 @@ def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code
     assert check(out, err)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve", *BASE, "--n", str(10**160)], 1, "invalid input: n must be <= 2**53, got 1000"),
+    (["limits", *BASE, "--n", str(10**160)], 1, "invalid input: n must be <= 2**53, got 1000"),
+    (["wavefunction", *BASE, "--dim", str(10**200), "--points", "20"], 1,
+     "invalid input: d must be <= 2**53, got 1000"),
+    (["oracle", *BASE, "--l", str(2**53 + 1)], 1,
+     f"invalid input: l must be <= 2**53, got {2**53 + 1}\n"),
+    (["degeneracy", *BASE, "--dim-range", str(10**200)], 1,
+     "invalid input: d must be <= 2**53, got 1000"),
+    (["limits", "--v0", "1e200", "--s0", "0", "--a", "0.05"], 3,
+     "numeric failure: NonFinite: nonrelativistic energy for QuantumNumbers(n=1, l=0, d=3) "
+     "is not finite: -inf\n"),
+    (["limits", "--v0", "1e-160", "--beta", "1e160", "--a", "1.7e308", "--l", "3"], 3,
+     "numeric failure: NonFinite: nonrelativistic energy"),
+    (["solve", *BASE, "--mass", "1e160"], 1, "invalid input: mass must lie in about"),
+    (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-302", "--mass", "1e-300"], 1,
+     "invalid input: mass must lie in about"),
+], ids=["solve-huge-n", "limits-huge-n", "wavefunction-huge-dim", "oracle-l-past-2**53",
+        "degeneracy-huge-dim-range", "limits-huge-v0", "limits-infinite-energy",
+        "solve-huge-mass", "solve-tiny-mass"])
+def test_inputs_past_float_range_are_typed_errors(capsys, argv, code, message):
+    # each escaped as an untyped OverflowError, printed -inf with exit 0,
+    # or solved to a wrong energy
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("error, code, message", [

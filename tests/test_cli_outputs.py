@@ -30,6 +30,11 @@ PER_COMMAND = {
     "table": ["table", *BASE, *GRID],
     "table-mixed": ["table", *MIXED],
     "degeneracy": ["degeneracy", "--v0", "0.2", "--beta", "1", "--a", "0.05", *GRID],
+    # the paper's grid: n 1:3, l 0:2, D 3:10 by default
+    "degeneracy-paper-grid": ["degeneracy", *BASE],
+    # up partners below D = 2 and down partners below l = 0 are skipped
+    "degeneracy-to-d2": ["degeneracy", "--v0", "0.2", "--beta", "-1", "--a", "0.05",
+                         "--n-range", "1:2", "--l-range", "0:1", "--dim-range", "2:3"],
     "wavefunction": ["wavefunction", *BASE, *STATE, "--points", "30"],
     "potential": ["potential", "--v0", "1.41421356", "--a", "0.0707106781", "--points", "40"],
     "potential-underflow": ["potential", *UNDERFLOW],
@@ -41,6 +46,11 @@ PER_COMMAND = {
 ERROR_PATHS = {
     "degeneracy-violated": ["degeneracy", *BASE, "--n-range", "1", "--l-range", "0",
                             "--dim-range", "3:4", "--max-delta", "-1"],
+    "degeneracy-n-zero": ["degeneracy", *BASE, "--n-range", "0:1"],
+    # a coarse-grid closure root that the doubled grid misses near it
+    "oracle-coarse-root": ["oracle", "--v0", "0.3311599339879335", "--s0", "0.34926292809854287",
+                           "--a", "0.025432968458688518", "--n", "1", "--l", "1", "--dim", "3",
+                           "--points", "200"],
     "limits-bad-sequence": ["limits", "--v0", "0.1", "--s0", "0.1", "--a", "0.002",
                             "--a-sequence", "0.1,x"],
     "table-error-row": ["table", *BASE, "--n-range", "0:1", "--l-range", "0",

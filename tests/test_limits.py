@@ -8,6 +8,7 @@ from kgyukawa import (
     DomainError,
     NonRelParams,
     NoRootInBracket,
+    NonFinite,
     ParticleParams,
     PotentialParams,
     QuantumNumbers,
@@ -31,6 +32,22 @@ GROUND = QuantumNumbers(n=1, l=0, d=3)
 def test_nonrel_params_validation(mu, v0, a):
     with pytest.raises(DomainError):
         NonRelParams(mu=mu, v0=v0, a=a)
+
+
+@pytest.mark.parametrize("mu, v0, a, l", [
+    (1.0, 1e200, 0.05, 0),  # (...) ** 2 raised OverflowError
+    (1.0, 0.2, 1e200, 0),
+    (1e200, 0.2, 0.05, 0),
+    (1.0, 1e-160, 1.7e308, 3),  # returned -inf
+])
+def test_nonrel_energy_that_overflows_is_non_finite(mu, v0, a, l):
+    with pytest.raises(NonFinite, match="nonrelativistic energy"):
+        nonrel_energy(NonRelParams(mu=mu, v0=v0, a=a), QuantumNumbers(n=1, l=l, d=3))
+
+
+def test_coulomb_energy_that_overflows_is_non_finite():
+    with pytest.raises(NonFinite, match="coulomb energy"):
+        coulomb_energy(NonRelParams(mu=1e200, v0=1e200, a=0.0), GROUND)
 
 
 def test_critical_screening_zeroes_energy():

@@ -674,6 +674,36 @@ def test_cross_validation_surfaces_branch_discrepancy(pp_plus):
     assert cmp_.nearest_root == pytest.approx(0.99504474, abs=1e-8)
 
 
+def test_fallback_builds_no_doubled_grid(monkeypatch, pp_plus):
+    # the fallback reports the coarse grid's root alone; a doubled grid and
+    # a Richardson estimate would be work it never prints
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    built = []
+
+    def closure(pp, mp, qn, grid, *args):
+        built.append(grid.points)
+        return _closure(pp, mp, qn, grid, *args)
+
+    monkeypatch.setattr("kgyukawa.oracle._closure", closure)
+    cmp_ = cross_validate(pp_plus, MP, qn, points=2000)
+    assert cmp_.status == "no_root_in_bracket" and cmp_.nearest_root is not None
+    assert built == [2000, 2000]  # the validation bracket, then the fallback's scan
+
+
+def test_fallback_reports_a_coarse_root_the_doubled_grid_misses():
+    # oracle_energy finds no doubled-grid root within 1e-4 of this coarse
+    # root, which cross_validate used to drop
+    pp = PotentialParams(v0=0.3311599339879335, s0=0.34926292809854287, a=0.025432968458688518)
+    qn = QuantumNumbers(n=1, l=1, d=3)
+    cmp_ = cross_validate(pp, MP, qn, points=200)
+    grid = default_oracle_grid(math.sqrt(1.0 - cmp_.e_solver**2), points=200)
+    with pytest.raises(NoRootInBracket, match="400-point grid"):
+        oracle_energy(pp, MP, qn, grid, "approximated", eigen_index=1)
+    assert cmp_.status == "no_root_in_bracket"
+    assert cmp_.nearest_root == _closure_root(pp, MP, qn, grid, "approximated", 1, None, 101)
+    assert cmp_.nearest_delta == abs(cmp_.nearest_root - cmp_.e_solver)
+
+
 def test_cross_validation_validates_the_state_its_pairing_reaches(monkeypatch, pp_plus):
     # On the decaying branch the state labelled n has n nodes, so its
     # closure root sits at eigen_index n, where cross_validate looks.  No

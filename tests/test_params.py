@@ -10,6 +10,7 @@ from kgyukawa import (
     QuantumNumbers,
     degeneracy_partner,
 )
+from kgyukawa.params import PARTNER_SHIFT
 
 
 def test_potential_validation():
@@ -36,6 +37,18 @@ def test_particle_validation():
             ParticleParams(mass=mass)
 
 
+@pytest.mark.parametrize("mass", [1e-320, 1e-300, 1.49e-154, 1.35e154, 1e160, 1.7e308])
+def test_mass_square_must_be_a_normal_float(mass):
+    # M^2 underflowed to a subnormal or zero, or overflowed to inf, in the solver
+    with pytest.raises(DomainError, match="mass must lie in about"):
+        ParticleParams(mass=mass)
+
+
+@pytest.mark.parametrize("mass", [1.5e-154, 1e-150, 1e150, 1.34e154])
+def test_mass_at_the_edges_of_its_range(mass):
+    assert ParticleParams(mass=mass).mass == mass
+
+
 def test_quantum_number_bounds():
     with pytest.raises(DomainError):
         QuantumNumbers(n=0, l=0, d=3)
@@ -43,6 +56,17 @@ def test_quantum_number_bounds():
         QuantumNumbers(n=1, l=-1, d=3)
     with pytest.raises(DomainError):
         QuantumNumbers(n=1, l=0, d=1)
+
+
+@pytest.mark.parametrize("n, l, d, name", [
+    (2**53 + 1, 0, 3, "n"), (1, 2**53 + 1, 3, "l"), (1, 0, 10**200, "d"), (10**400, 0, 3, "n"),
+], ids=["n-2**53+1", "l-2**53+1", "d-10**200", "n-10**400"])
+def test_quantum_numbers_are_at_most_two_to_the_53(n, l, d, name):
+    # a larger one escaped as an OverflowError, or was rounded, where the
+    # energy reads it as a float
+    with pytest.raises(DomainError, match=rf"{name} must be <= 2\*\*53"):
+        QuantumNumbers(n=n, l=l, d=d)
+    assert QuantumNumbers(n=2**53, l=2**53, d=2**53).kappa() == 3 * 2**53 - 2
 
 
 @pytest.mark.parametrize("n, l, d", [(1.5, 0, 3), (1, 0.5, 3), (1, 0, 3.0), (1.0, 0, 3)])
@@ -82,3 +106,16 @@ def test_partner_out_of_domain():
         degeneracy_partner(QuantumNumbers(n=1, l=0, d=3), "up")  # d would drop to 1
     with pytest.raises(DomainError):
         degeneracy_partner(QuantumNumbers(n=1, l=1, d=3), "sideways")
+
+
+def test_partner_past_two_to_the_53_is_out_of_domain():
+    with pytest.raises(OutOfDomain, match="would have l=1, d=9007199254740994"):
+        degeneracy_partner(QuantumNumbers(n=1, l=2, d=2**53), "down")
+
+
+def test_partner_shift_keeps_kappa():
+    qn = QuantumNumbers(n=1, l=3, d=6)
+    for direction, (dl, dd) in PARTNER_SHIFT.items():
+        partner = degeneracy_partner(qn, direction)
+        assert (partner.n, partner.l, partner.d) == (qn.n, qn.l + dl, qn.d + dd)
+        assert partner.kappa() == qn.kappa()

@@ -37,6 +37,19 @@ from reference_scan import reference_brackets
 MP = ParticleParams(mass=1.0)
 
 
+@pytest.mark.parametrize("branch", ["published", "decaying"])
+def test_energy_scales_with_the_mass(branch):
+    # E/M depends on a/M alone; an absolute bisection width left E/M off
+    # by 2.9e-5 at M = 1e-10, after 0 steps
+    qn = QuantumNumbers(n=1, l=0, d=3)
+    unit = solve_energy(PotentialParams(v0=0.2, s0=0.2, a=0.05), MP, qn, branch)
+    for mass in (1.5e-154, 1e-150, 1e-10, 1e-6, 1e6, 1e150, 1.34e154):
+        sol = solve_energy(PotentialParams(v0=0.2, s0=0.2, a=0.05 * mass),
+                           ParticleParams(mass=mass), qn, branch)
+        assert abs(sol.energy / mass - unit.energy) <= 1e-15
+        assert sol.iterations == unit.iterations == 31
+
+
 def test_map_equal_mixture_drops_quadratic_term():
     pp = PotentialParams(v0=0.2, s0=0.2, a=0.05)
     qn = QuantumNumbers(n=1, l=0, d=3)
