@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -157,7 +158,7 @@ def _solve(params):
 def _table(params):
     """Solve an energy grid over D x n x l and emit it as CSV/JSON."""
     pp, mp, _ = _inputs(params)
-    cells = solve_table(pp, mp, params["n_range"], params["l_range"], params["dim_range"])
+    cells = solve_table(pp, mp, params["cells"])
     _emit(params, TABLE_COLUMNS, [_record(c, TABLE_COLUMNS) for c in cells])
 
 
@@ -165,18 +166,18 @@ def _degeneracy(params):
     """Check interdimensional partner energies (n, l+-1, D-+2)."""
     pp, mp, _ = _inputs(params)
     max_delta = _finite(params["max_delta"], "--max-delta")
-    n_range, l_range, d_range = params["n_range"], params["l_range"], params["dim_range"]
-    states = solve_table(pp, mp, n_range, l_range, d_range)
+    cells = params["cells"]
+    # the states, then per direction a copy whose cell i is the partner of
+    # state i: one table, so each K is solved once
+    table = solve_table(pp, mp, cells + [(d + dd, n, l + dl) for dl, dd in PARTNER_SHIFT.values()
+                                         for d, n, l in cells])
+    states, *partners = (table[i:i + len(cells)] for i in range(0, len(table), len(cells)))
     for cell in states:
         if cell.status == "error":  # an invalid n, l or D, or couplings too large
             raise DomainError(cell.message)
-    # cell i of each partner table is the partner of state cell i
-    partners = {direction: solve_table(pp, mp, n_range, [l + dl for l in l_range],
-                                       [d + dd for d in d_range])
-                for direction, (dl, dd) in PARTNER_SHIFT.items()}
     records = []
-    for state, *pair in zip(states, *partners.values()):
-        for direction, partner in zip(partners, pair):
+    for state, *pair in zip(states, *partners):
+        for direction, partner in zip(PARTNER_SHIFT, pair):
             # a partner shares the state's K, so its cell is an error only
             # where it leaves the domain of (n, l, d)
             if state.status == partner.status == "ok":
@@ -368,17 +369,18 @@ def _config_args(command: str, path: str) -> list[str]:
 
 
 def _parse(args: list[str]) -> dict:
-    """The command's flags by name, the ranges as lists of integers.  A
-    flag not on the command line takes its --config value, or else its
-    default; --v0 and --a must get a value from one of the first two."""
+    """The command's flags by name, a grid command's three ranges as one
+    list of (d, n, l) cells, "cells", over D, then n, then l.  A flag not
+    on the command line takes its --config value, or else its default;
+    --v0 and --a must get a value from one of the first two."""
     args = _bind_values(args)
     params = vars(PARSER.parse_args(args))
     if params["config"] is not None:
         config = _config_args(params["command"], params["config"])
         params = vars(PARSER.parse_args([args[0], *config, *args[1:]]))
-    for name in ("n_range", "l_range", "dim_range"):
-        if name in params:
-            params[name] = parse_range(params[name])
+    if "n_range" in params:
+        n, l, d = (parse_range(params.pop(name)) for name in ("n_range", "l_range", "dim_range"))
+        params["cells"] = list(itertools.product(d, n, l))
     for name in ("v0", "a"):
         if params[name] is None:
             PARSER.error(f"Missing option '--{name}'.")

@@ -48,14 +48,16 @@ _NO_SOLUTION = (NoRootInBracket, ComplexChannel, OutOfDomain)
 
 def _integer(value, name: str, least: int) -> int:
     """operator.index(value), which numpy integers pass; a value that is
-    not an integer (a float, a string, None) or is below least is a
-    DomainError."""
+    not an integer (a float, a string, None), is below least or is above
+    2**53, the largest integer a float holds exactly, is a DomainError."""
     try:
         k = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if k < least:
         raise DomainError(f"{name} must be >= {least}, got {k}")
+    if k > 2**53:
+        raise DomainError(f"{name} must be <= 2**53, got {k}")
     return k
 
 

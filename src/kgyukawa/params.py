@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OutOfDomain, _finite, _integer, _positive
 
-# The largest integer a float holds exactly; the energy reads n, l and d
-# as floats.
-_LARGEST_EXACT = 2**53
 # Interdimensional partner of (n, l, d) in each direction, as (dl, dd):
 # d + 2l, and so the energy, stays the same.
 PARTNER_SHIFT = {"up": (1, -2), "down": (-1, 2)}
@@ -67,9 +64,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("l", 0), ("d", 2)):
-            value = _integer(getattr(self, name), name, least)
-            if value > _LARGEST_EXACT:
-                raise DomainError(f"{name} must be <= 2**53, got {value}")
+            _integer(getattr(self, name), name, least)
 
     def kappa(self) -> int:
         """Degenerate combination d + 2l - 2; the energy depends on (l, d)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _finite, _integer, _positive, _radii
+from .errors import DomainError, NonFinite, _finite, _integer, _positive, _radii
 
 # Rows where |exact| falls below this record absolute error only.
 _REL_ERR_FLOOR = 1e-300
@@ -60,14 +60,17 @@ class PotentialProfile:
 
 
 def profile(strength: float, a: float, r_min: float, r_max: float, points: int) -> PotentialProfile:
-    """Sample exact and approximate potentials on a uniform grid for export."""
+    """Sample exact and approximate potentials on a uniform grid for export;
+    a value past float range is a :class:`NonFinite`."""
     _finite(strength, "strength")
     _positive(a, "screening parameter a")
     _radii(r_min, r_max)
     points = _integer(points, "points", 2)
     r = np.linspace(r_min, r_max, points)
-    exact = yukawa(r, strength, a)
-    approx = approx_yukawa(r, strength, a)
+    with np.errstate(all="ignore"):  # checked below
+        exact, approx = yukawa(r, strength, a), approx_yukawa(r, strength, a)
+    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(approx))):
+        raise NonFinite(f"potential is not finite on [{r_min}, {r_max}] at a = {a}")
     abs_err = np.abs(approx - exact)
     magnitude = np.abs(exact)
     rel_err = np.divide(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -234,22 +234,17 @@ def _solve_cell(pp, mp, d, n, l, solved) -> TableCell:
 def solve_table(
     pp: PotentialParams,
     mp: ParticleParams,
-    n_range: Sequence[int],
-    l_range: Sequence[int],
-    d_range: Sequence[int],
+    cells: Iterable[tuple[int, int, int]],
 ) -> tuple[TableCell, ...]:
-    """The cells of every published-branch state of the Cartesian product
-    d_range x n_range x l_range, in that order.
+    """The published-branch cell of each (d, n, l) in cells, in order.
 
     The residual depends on (n, l, d) only through K = 2n+1+Lambda, so
     cells with the same float K share one solve_energy call and get the
     same energy and residual, bit for bit.  Per-cell failures are recorded
-    in the cell status and message and never abort the grid.
+    in the cell status and message and never abort the table.
     """
     solved: dict[float, Optional[EnergySolution]] = {}  # K -> solution, None if none
-    return tuple(
-        _solve_cell(pp, mp, d, n, l, solved) for d in d_range for n in n_range for l in l_range
-    )
+    return tuple(_solve_cell(pp, mp, d, n, l, solved) for d, n, l in cells)
 
 
 # --------------------------------------------------------------------------

@@ -209,10 +209,11 @@ def test_degeneracy_command(capsys):
     assert all(float(r["delta"]) <= 1e-10 for r in rows)
 
 
-@pytest.mark.parametrize("beta, most", [("0.5", 99), ("1", 45), ("-1", 45)])
+@pytest.mark.parametrize("beta, most", [("0.5", 36), ("1", 16), ("-1", 16)])
 def test_paper_grid_degeneracy_solves_each_table_once(monkeypatch, capsys, beta, most):
-    # the state table and one partner table per direction each solve every
-    # distinct K once; solving each state and each partner apart took 183
+    # the states and their partners are one table, and a partner shares its
+    # state's K, so each distinct K is solved once; three tables took 99
+    # and 45, and solving each state and each partner apart took 183
     calls = []
 
     def counted(pp, mp, qn, *args):
@@ -396,12 +397,21 @@ def test_rarely_taken_paths(capsys, argv, code, check):
     (["solve", *BASE, "--mass", "1e160"], 1, "invalid input: mass must lie in about"),
     (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "1e-302", "--mass", "1e-300"], 1,
      "invalid input: mass must lie in about"),
+    (["potential", "--v0", "0.2", "--a", "0.05", "--points", str(10**20)], 1,
+     f"invalid input: points must be <= 2**53, got {10**20}\n"),
+    (["oracle", *BASE, "--points", str(10**20)], 1,
+     f"invalid input: points must be <= 2**53, got {10**20}\n"),
+    (["wavefunction", *BASE, "--points", str(10**400)], 1,
+     f"invalid input: points must be <= 2**53, got {10**400}\n"),
+    (["wavefunction", *BASE, "--points", str(2**53 + 1)], 1,
+     f"invalid input: points must be <= 2**53, got {2**53 + 1}\n"),
 ], ids=["solve-huge-n", "limits-huge-n", "wavefunction-huge-dim", "oracle-l-past-2**53",
         "degeneracy-huge-dim-range", "limits-huge-v0", "limits-infinite-energy",
-        "solve-huge-mass", "solve-tiny-mass"])
+        "solve-huge-mass", "solve-tiny-mass", "potential-points-10**20",
+        "oracle-points-10**20", "wavefunction-points-10**400", "wavefunction-points-2**53+1"])
 def test_inputs_past_float_range_are_typed_errors(capsys, argv, code, message):
-    # each escaped as an untyped OverflowError, printed -inf with exit 0,
-    # or solved to a wrong energy
+    # each escaped as an untyped OverflowError or ValueError, printed -inf
+    # with exit 0, or solved to a wrong energy
     got, out, err = run(capsys, argv)
     assert got == code
     assert out == ""

@@ -6,8 +6,10 @@ Each argv draws its reals and integers from small sets of edge values
 errors.  Every run must return an exit code in 0-3 without raising, and
 no run that exits 0 may print nan or inf.
 
-Sizes stay small: ``--points`` is always 20 and every range names a
-single value, since a large size allocates gigabytes.
+Sizes stay small, since a large size allocates gigabytes: every range
+names a single value, and ``--points`` comes from POINTS, whose values
+build no grid of more than 20 points: each is at most 20 (below the 100
+that ``oracle`` takes) or above 2**53, which every command rejects.
 """
 import contextlib
 import io
@@ -20,14 +22,16 @@ from kgyukawa.cli import main
 REALS = (0.0, -0.0, 1e-320, 1e-300, 1e-160, 1e-12, 0.05, 0.2, 1.0, 5.0, 1e12, 1e160,
          1e300, 1.7e308, -0.2, -1e300)
 INTEGERS = (0, 1, 2, 3, -1, 200, 2**53, 10**20, 10**400)
-COMMANDS = ("solve", "limits", "table", "degeneracy", "wavefunction")
-SWEEP_SIZE = 600
+POINTS = (0, 1, 2, 20, -1, 2**53 + 1, 10**20, 10**400)
+COMMANDS = ("solve", "limits", "table", "degeneracy", "wavefunction", "potential", "oracle")
+SWEEP_SIZE = 840
 SEED = 2012
 NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
 
 
 def draw(rng: random.Random) -> list[str]:
-    """One argv of a random command, every value drawn from REALS or INTEGERS."""
+    """One argv of a random command, every value drawn from REALS,
+    INTEGERS or POINTS."""
     command = rng.choice(COMMANDS)
 
     def real():
@@ -43,17 +47,21 @@ def draw(rng: random.Random) -> list[str]:
     optional = {"--mass": real}
     if command in ("table", "degeneracy"):
         optional.update(dict.fromkeys(("--n-range", "--l-range", "--dim-range"), integer))
+    elif command == "potential":
+        optional.update(dict.fromkeys(("--r-min", "--r-max"), real))
     else:
         optional.update(dict.fromkeys(("--n", "--l", "--dim"), integer))
     if command == "degeneracy":
         optional["--max-delta"] = real
     if command == "limits":
         optional["--a-sequence"] = real
+    if command == "oracle":
+        optional["--mode"] = lambda: rng.choice(("approximated", "exact", "both"))
     for flag, value in optional.items():
         if rng.random() < 0.5:
             argv += [flag, value()]
-    if command == "wavefunction":
-        argv += ["--points", "20"]
+    if command in ("wavefunction", "potential", "oracle"):
+        argv += ["--points", str(rng.choice(POINTS))]
     return argv
 
 

@@ -167,6 +167,8 @@ def test_oracle_eigen_index_guards(pp_plus):
         oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=1.5)
     with pytest.raises(DomainError, match="eigen_index must be >= 0, got -1"):
         oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=-1)
+    with pytest.raises(DomainError, match=rf"eigen_index must be <= 2\*\*53, got {2**53 + 1}"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=2**53 + 1)
     ref = solve_energy(pp_plus, MP, qn, branch="decaying").energy
     runs = [oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=k,
                           bracket=(ref - 5e-3, ref + 5e-3), scan_points=11)
@@ -183,6 +185,9 @@ def test_oracle_scan_points_guards(pp_plus):
         oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0, scan_points=2.5)
     with pytest.raises(DomainError, match="scan_points must be >= 0, got -1"):
         oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0, scan_points=-1)
+    # 10**20 raised numpy's ValueError: Maximum allowed size exceeded
+    with pytest.raises(DomainError, match=rf"scan_points must be <= 2\*\*53, got {10**20}"):
+        oracle_energy(pp_plus, MP, qn, grid, "approximated", eigen_index=0, scan_points=10**20)
 
 
 def test_oracle_rejects_bracket_outside_the_mass_gap(pp_plus):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kgyukawa import DomainError, approx_yukawa, centrifugal_approx, profile, yukawa
+from kgyukawa import DomainError, NonFinite, approx_yukawa, centrifugal_approx, profile, yukawa
 
 # parameter set used for the published approximation-quality figure
 FIG_V0 = math.sqrt(2.0)
@@ -111,6 +111,26 @@ def test_profile_underflow_is_nan_without_warning():
     tiny = np.abs(prof.exact) <= 1e-300
     assert tiny.any() and not tiny.all()
     assert np.array_equal(np.isnan(prof.rel_err), tiny)
+
+
+@pytest.mark.parametrize("strength, a, r_min, r_max", [
+    (1.7e308, 1e-12, 1e-12, 0.05),  # exact and approximant past float range
+    (1e12, 1e300, 0.1, 20.0),  # the approximant's 2a*strength overflows
+], ids=["potential-overflows", "approximant-overflows"])
+def test_profile_past_float_range_is_non_finite(strength, a, r_min, r_max):
+    # each printed -inf or nan with exit 0, after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="potential is not finite"):
+            profile(strength, a, r_min, r_max, 2)
+
+
+def test_profile_overflow_to_zero_is_silent():
+    # a*r overflows, so exp(-a*r) is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = profile(1e-12, 1e300, 0.2, 1e300, 2)
+    assert np.all(prof.exact == 0.0) and np.all(prof.approx == 0.0)
 
 
 def test_profile_validation():

@@ -1,4 +1,5 @@
 """Energy equation, root finder, tables and radial wavefunctions."""
+import itertools
 import math
 import random
 import tracemalloc
@@ -192,7 +193,7 @@ def _outcome(solve, *args):
 def test_solver_matches_reference_scan_and_bisect():
     # 200 seeded draws over the perfbench `states` ranges, alternating the
     # published branch (`solve` couplings) with the decaying one (`limits`
-    # couplings); each reference scan walks 20000 numpy scalars (about 70 ms)
+    # couplings); each reference scan walks 20000 Python floats (about 3 ms)
     def solve(pp, qn, branch):
         sol = solve_energy(pp, MP, qn, branch)
         return (sol.energy.hex(), sol.residual.hex(), sol.bracket[0].hex(),
@@ -325,14 +326,19 @@ def test_n_monotonicity_where_it_holds(pp_half, pp_plus):
             assert energies[0] < energies[1] < energies[2]
 
 
+def grid(n_range, l_range, d_range):
+    """The (d, n, l) cells of the grid, over D, then n, then l."""
+    return list(itertools.product(d_range, n_range, l_range))
+
+
 def test_table_grid_and_self_consistency(pp_half):
-    cells = solve_table(pp_half, MP, n_range=[1, 2], l_range=[0, 1], d_range=[3, 4])
+    cells = solve_table(pp_half, MP, grid(n_range=[1, 2], l_range=[0, 1], d_range=[3, 4]))
     assert len(cells) == 8
     assert all(c.status == "ok" for c in cells)
 
 
 def test_table_empty_range(pp_half):
-    cells = solve_table(pp_half, MP, n_range=[1], l_range=[], d_range=[3])
+    cells = solve_table(pp_half, MP, grid(n_range=[1], l_range=[], d_range=[3]))
     assert cells == ()
 
 
@@ -352,15 +358,15 @@ def _solved_alone(pp, d, n, l):
 
 def test_table_records_cell_failures():
     pp = PotentialParams(v0=0.2, s0=0.1, a=5.0)
-    cells = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
+    cells = solve_table(pp, MP, [(3, 1, 0)])
     assert cells[0].status == "no_bound_state"
     pp = PotentialParams(v0=5.0, s0=0.0, a=0.05)
-    cells = solve_table(pp, MP, n_range=[1], l_range=[0], d_range=[3])
+    cells = solve_table(pp, MP, [(3, 1, 0)])
     assert cells[0].status == "complex_channel"
     # all four statuses in one table; n = 0 is an error, and (n, l, d) =
     # (2, 1, 3) and (2, 0, 5) share K but each message names its own cell
     pp = PotentialParams(v0=0.8, s0=0.0, a=0.3)
-    cells = solve_table(pp, MP, n_range=[0, 1, 2], l_range=[0, 1], d_range=[3, 4, 5])
+    cells = solve_table(pp, MP, grid(n_range=[0, 1, 2], l_range=[0, 1], d_range=[3, 4, 5]))
     assert {c.status for c in cells} == {"ok", "no_bound_state", "complex_channel", "error"}
     for c in cells:
         status, _, _, message = _solved_alone(pp, c.dim, c.n, c.l)
@@ -380,7 +386,7 @@ def test_table_records_cell_failures():
     ],
 )
 def test_table_equals_per_cell_solves(pp, n_range, l_range, d_range):
-    cells = solve_table(pp, MP, n_range, l_range, d_range)
+    cells = solve_table(pp, MP, grid(n_range, l_range, d_range))
     assert [(c.dim, c.n, c.l) for c in cells] == [
         (d, n, l) for d in d_range for n in n_range for l in l_range
     ]
@@ -399,9 +405,28 @@ def test_table_solves_each_k_once(monkeypatch, v0, s0, solves):
         return solve_energy(*args, **kwargs)
 
     monkeypatch.setattr("kgyukawa.solver.solve_energy", counted)
-    cells = solve_table(PotentialParams(v0=v0, s0=s0, a=0.05), MP, range(1, 4), range(0, 3), range(3, 11))
+    cells = solve_table(PotentialParams(v0=v0, s0=s0, a=0.05), MP,
+                        grid(range(1, 4), range(0, 3), range(3, 11)))
     assert len(cells) == 72
     assert len(calls) == solves
+
+
+def test_table_keeps_the_order_of_its_cells(monkeypatch, pp_half):
+    # out of grid order: (d, n, l) = (5, 1, 1), (3, 1, 2) and (7, 1, 0)
+    # share K, with n = 1 and d + 2l = 7, and two cells repeat
+    calls = []
+
+    def counted(pp, mp, qn, *args):
+        calls.append(qn)
+        return solve_energy(pp, mp, qn, *args)
+
+    cells = [(5, 1, 1), (3, 2, 0), (3, 1, 2), (10, 1, 0), (7, 1, 0), (3, 2, 0), (5, 1, 1)]
+    alone = [_solved_alone(pp_half, d, n, l) for d, n, l in cells]
+    monkeypatch.setattr("kgyukawa.solver.solve_energy", counted)
+    table = solve_table(pp_half, MP, cells)
+    assert [(c.dim, c.n, c.l) for c in table] == cells
+    assert [(c.status, c.energy, c.residual, c.message) for c in table] == alone
+    assert [(qn.n, qn.d + 2 * qn.l) for qn in calls] == [(1, 7), (2, 3), (1, 10)]
 
 
 # --------------------------------------------------------------------------
