@@ -11,7 +11,6 @@ from .errors import (
     NoRootInBracket,
     NonFinite,
     NormalizationFailure,
-    OutOfDomain,
 )
 from .limits import (
     ConvergenceReport,
@@ -37,7 +36,7 @@ from .oracle import (
     eigenvalue_k,
     oracle_energy,
 )
-from .params import ParticleParams, PotentialParams, QuantumNumbers, degeneracy_partner
+from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import PotentialProfile, approx_yukawa, centrifugal_approx, profile, yukawa
 from .solver import (
     EnergySolution,

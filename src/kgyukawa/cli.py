@@ -129,7 +129,8 @@ def _emit(params: dict, columns, records, payload=None):
     """Write to --out or stdout: under --format json the payload, or else
     the records themselves; otherwise CSV, the formatted records under the
     column names, or text lines when columns is None (text under either
-    format if no payload)."""
+    format if no payload).  An --out that cannot be written is invalid
+    input."""
     if params["format"] == "json" and (payload is not None or columns is not None):
         text = json.dumps(records if payload is None else payload, indent=2) + "\n"
     elif columns is None:
@@ -140,7 +141,10 @@ def _emit(params: dict, columns, records, payload=None):
         csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
         text = buf.getvalue()
     if params["out"]:
-        Path(params["out"]).write_text(text, encoding="utf-8")
+        try:
+            Path(params["out"]).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write {params['out']}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -402,6 +406,9 @@ def main(argv=None) -> int:
         return EXIT_NO_SOLUTION
     except (NonFinite, NormalizationFailure) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_FAILURE
+    except MemoryError as exc:  # an admitted size the host cannot hold, such as --points 2**53
+        print(f"numeric failure: MemoryError: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except KgYukawaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

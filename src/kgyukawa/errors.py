@@ -1,4 +1,7 @@
-"""Typed errors raised by the solver; no routine ever returns NaN instead.
+"""Typed errors raised by the solver: no routine returns NaN in place of
+one.  NaN is returned only where it means "undefined" by design:
+``NuCoefficients`` c11 and c13 at c3 = 0, and ``PotentialProfile.rel_err``
+where the exact potential is too small for a relative error.
 
 The argument checks below are written as comparisons that NaN fails.
 They stay underscore-named, so perfbench's span tracer, which wraps
@@ -38,12 +41,8 @@ class NormalizationFailure(KgYukawaError):
     """The wavefunction normalization integral is not finite."""
 
 
-class OutOfDomain(KgYukawaError):
-    """A quantum-number transformation left the admissible (n, l, D) domain."""
-
-
 # The errors that mean no state exists for valid inputs.
-_NO_SOLUTION = (NoRootInBracket, ComplexChannel, OutOfDomain)
+_NO_SOLUTION = (NoRootInBracket, ComplexChannel)
 
 
 def _integer(value, name: str, least: int) -> int:

@@ -140,7 +140,6 @@ class OracleResult:
     """
 
     energy: float
-    eigen_index: int
     richardson_estimate: float
 
 
@@ -339,7 +338,7 @@ def oracle_energy(
     root_fine = _fine_root(pp, mp, qn, fine, mode, k, root)
     rho = (fine.points - 1) / (grid.points - 1)  # spacing ratio h/h_fine
     richardson = (root_fine * rho**2 - root) / (rho**2 - 1.0)
-    return OracleResult(energy=root, eigen_index=k, richardson_estimate=richardson)
+    return OracleResult(energy=root, richardson_estimate=richardson)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, OutOfDomain, _finite, _integer, _positive
+from .errors import DomainError, _finite, _integer, _positive
 
 # Interdimensional partner of (n, l, d) in each direction, as (dl, dd):
 # d + 2l, and so the energy, stays the same.
@@ -76,21 +76,3 @@ class QuantumNumbers:
         ((d+2l-2)^2 - 1)/4; equals l(l+1) at d = 3."""
         k = self.kappa()
         return (k * k - 1) / 4.0
-
-
-def degeneracy_partner(qn: QuantumNumbers, direction: str) -> QuantumNumbers:
-    """Interdimensional partner state with the same kappa(), shifted by
-    PARTNER_SHIFT[direction]: 'up' -> (n, l+1, d-2), 'down' -> (n, l-1, d+2).
-
-    Raises :class:`OutOfDomain` when the partner leaves the domain of
-    :class:`QuantumNumbers`.
-    """
-    if direction not in PARTNER_SHIFT:
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    dl, dd = PARTNER_SHIFT[direction]
-    l, d = qn.l + dl, qn.d + dd
-    try:
-        return QuantumNumbers(n=qn.n, l=l, d=d)
-    except DomainError:
-        raise OutOfDomain(f"partner of (n={qn.n}, l={qn.l}, d={qn.d}) going {direction} "
-                          f"would have l={l}, d={d}") from None

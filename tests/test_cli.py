@@ -16,7 +16,6 @@ from kgyukawa import (
     NoRootInBracket,
     NonFinite,
     NormalizationFailure,
-    OutOfDomain,
 )
 from kgyukawa.cli import main
 from kgyukawa.solver import solve_energy
@@ -195,6 +194,16 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "-0.98885705" in target.read_text()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_that_cannot_be_written_is_input_error(capsys, tmp_path, where):
+    # each escaped as a FileNotFoundError or IsADirectoryError traceback
+    target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, ["solve", *BASE, "--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"invalid input: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_degeneracy_command(capsys):
@@ -405,13 +414,21 @@ def test_rarely_taken_paths(capsys, argv, code, check):
      f"invalid input: points must be <= 2**53, got {10**400}\n"),
     (["wavefunction", *BASE, "--points", str(2**53 + 1)], 1,
      f"invalid input: points must be <= 2**53, got {2**53 + 1}\n"),
+    # sizes the ceiling admits but no host holds: 64 PiB, refused at once
+    (["potential", "--v0", "0.2", "--a", "0.05", "--points", str(2**53)], 3,
+     "numeric failure: MemoryError: "),
+    (["wavefunction", *BASE, "--points", str(2**53)], 3, "numeric failure: MemoryError: "),
+    (["oracle", *BASE, "--points", str(2**53)], 3, "numeric failure: MemoryError: "),
+    (["table", *BASE, "--n-range", f"1:{2**53}"], 3, "numeric failure: MemoryError: "),
 ], ids=["solve-huge-n", "limits-huge-n", "wavefunction-huge-dim", "oracle-l-past-2**53",
         "degeneracy-huge-dim-range", "limits-huge-v0", "limits-infinite-energy",
         "solve-huge-mass", "solve-tiny-mass", "potential-points-10**20",
-        "oracle-points-10**20", "wavefunction-points-10**400", "wavefunction-points-2**53+1"])
+        "oracle-points-10**20", "wavefunction-points-10**400", "wavefunction-points-2**53+1",
+        "potential-points-2**53", "wavefunction-points-2**53", "oracle-points-2**53",
+        "table-n-range-to-2**53"])
 def test_inputs_past_float_range_are_typed_errors(capsys, argv, code, message):
-    # each escaped as an untyped OverflowError or ValueError, printed -inf
-    # with exit 0, or solved to a wrong energy
+    # each escaped as an untyped OverflowError, ValueError or MemoryError,
+    # printed -inf with exit 0, or solved to a wrong energy
     got, out, err = run(capsys, argv)
     assert got == code
     assert out == ""
@@ -421,7 +438,7 @@ def test_inputs_past_float_range_are_typed_errors(capsys, argv, code, message):
 @pytest.mark.parametrize("error, code, message", [
     (NoRootInBracket("none"), 2, "no solution: NoRootInBracket: none"),
     (ComplexChannel("complex"), 2, "no solution: ComplexChannel: complex"),
-    (OutOfDomain("outside"), 2, "no solution: OutOfDomain: outside"),
+    (MemoryError("64 PiB"), 3, "numeric failure: MemoryError: 64 PiB"),
     (NonFinite("overflow"), 3, "numeric failure: NonFinite: overflow"),
     (NormalizationFailure("integral is nan"), 3,
      "numeric failure: NormalizationFailure: integral is nan"),

@@ -71,6 +71,11 @@ ERROR_PATHS = {
     "solve-complex-channel": ["solve", "--v0", "5", "--s0", "0", "--a", "0.05"],
     "solve-missing-a": ["solve", "--v0", "0.2", "--s0", "0.1"],
     "table-bad-range": ["table", *BASE, "--n-range", "3:1"],
+    # the down partner would have d = 2**53 + 1, past the domain, and is
+    # skipped; the state itself has no bound state there
+    "degeneracy-partner-past-2-53": ["degeneracy", "--v0", "0.2", "--s0", "0.1", "--a", "0.05",
+                                     "--n-range", "1", "--l-range", "1",
+                                     "--dim-range", "9007199254740991"],
 }
 ARGVS = {
     **{f"{name}-{fmt}": [*argv, "--format", fmt]

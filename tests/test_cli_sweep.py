@@ -9,7 +9,9 @@ no run that exits 0 may print nan or inf.
 Sizes stay small, since a large size allocates gigabytes: every range
 names a single value, and ``--points`` comes from POINTS, whose values
 build no grid of more than 20 points: each is at most 20 (below the 100
-that ``oracle`` takes) or above 2**53, which every command rejects.
+that ``oracle`` takes), above 2**53, which every command rejects, or
+2**53 itself, whose 64 PiB grid no host holds, so it is refused at once
+(a MemoryError, exit 3).
 """
 import contextlib
 import io
@@ -22,7 +24,7 @@ from kgyukawa.cli import main
 REALS = (0.0, -0.0, 1e-320, 1e-300, 1e-160, 1e-12, 0.05, 0.2, 1.0, 5.0, 1e12, 1e160,
          1e300, 1.7e308, -0.2, -1e300)
 INTEGERS = (0, 1, 2, 3, -1, 200, 2**53, 10**20, 10**400)
-POINTS = (0, 1, 2, 20, -1, 2**53 + 1, 10**20, 10**400)
+POINTS = (0, 1, 2, 20, -1, 2**53, 2**53 + 1, 10**20, 10**400)
 COMMANDS = ("solve", "limits", "table", "degeneracy", "wavefunction", "potential", "oracle")
 SWEEP_SIZE = 840
 SEED = 2012

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
-every third-party module it imports is a declared dependency, the
-command line loads no click, and the package and pyproject.toml name the
-same version."""
+every public function and class the package defines has a caller in it
+or a stated reason to stay, every third-party module it imports is a
+declared dependency, the command line loads no click, and the package
+and pyproject.toml name the same version."""
 import ast
 import re
 import subprocess
@@ -43,6 +44,53 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Public names that stay without a caller in the package, and why.
+UNCALLED_PUBLIC = {
+    "map_to_nu": "acceptance criterion 7 imports and probes it",
+    "derive_coefficients": "acceptance criterion 7 imports and probes it",
+    "energy_relation_residual": "a perfbench per-layer name",
+    "eigenvalue_k": "a perfbench per-layer name; acceptance criterion 7 probes it",
+    "effective_ode_coefficient": "a perfbench per-layer name",
+}
+
+
+def uncalled_public(sources: dict[str, str]) -> list[str]:
+    """The public top-level functions and classes defined in sources, a
+    map of module name to source, that no module other than __init__
+    refers to (as an ast.Name or ast.Attribute) outside their own
+    definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()
+             if name != "__init__"}
+    defined = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    referred = {}  # name -> the top-level statements that refer to it
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    referred.setdefault(name, set()).add(id(stmt))
+    return [name for name, node in defined.items()
+            if not referred.get(name, set()) - {id(node)}]
+
+
+def test_checker_finds_an_uncalled_public_name():
+    sources = {"a": "def used():\n    pass\n\ndef alone():\n    return alone()\n"
+                    "class _Private:\n    pass\n",
+               "b": "from .a import used\nx = used()\n",
+               "__init__": "from .a import alone\nalone\n"}
+    assert uncalled_public(sources) == ["alone"]
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    uncalled = uncalled_public(sources)
+    assert [name for name in uncalled if name not in UNCALLED_PUBLIC] == []
+    # a name that gained a caller leaves the list
+    assert [name for name in UNCALLED_PUBLIC if name not in uncalled] == []
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -1,15 +1,8 @@
-"""Parameter containers and quantum-number transformations."""
+"""Parameter containers and the interdimensional partner shift."""
 import numpy as np
 import pytest
 
-from kgyukawa import (
-    DomainError,
-    OutOfDomain,
-    ParticleParams,
-    PotentialParams,
-    QuantumNumbers,
-    degeneracy_partner,
-)
+from kgyukawa import DomainError, ParticleParams, PotentialParams, QuantumNumbers
 from kgyukawa.params import PARTNER_SHIFT
 
 
@@ -90,32 +83,9 @@ def test_centrifugal_constant_reduces_to_l_l_plus_one():
     assert QuantumNumbers(n=1, l=0, d=2).centrifugal_constant() == pytest.approx(-0.25)
 
 
-def test_partner_preserves_kappa():
-    qn = QuantumNumbers(n=2, l=1, d=3)
-    down = degeneracy_partner(qn, "down")
-    assert (down.n, down.l, down.d) == (2, 0, 5)
-    assert down.kappa() == qn.kappa()
-    up = degeneracy_partner(down, "up")
-    assert (up.n, up.l, up.d) == (2, 1, 3)
-
-
-def test_partner_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        degeneracy_partner(QuantumNumbers(n=1, l=0, d=3), "down")
-    with pytest.raises(OutOfDomain):
-        degeneracy_partner(QuantumNumbers(n=1, l=0, d=3), "up")  # d would drop to 1
-    with pytest.raises(DomainError):
-        degeneracy_partner(QuantumNumbers(n=1, l=1, d=3), "sideways")
-
-
-def test_partner_past_two_to_the_53_is_out_of_domain():
-    with pytest.raises(OutOfDomain, match="would have l=1, d=9007199254740994"):
-        degeneracy_partner(QuantumNumbers(n=1, l=2, d=2**53), "down")
-
-
 def test_partner_shift_keeps_kappa():
     qn = QuantumNumbers(n=1, l=3, d=6)
-    for direction, (dl, dd) in PARTNER_SHIFT.items():
-        partner = degeneracy_partner(qn, direction)
-        assert (partner.n, partner.l, partner.d) == (qn.n, qn.l + dl, qn.d + dd)
+    assert PARTNER_SHIFT == {"up": (1, -2), "down": (-1, 2)}
+    for dl, dd in PARTNER_SHIFT.values():
+        partner = QuantumNumbers(n=qn.n, l=qn.l + dl, d=qn.d + dd)
         assert partner.kappa() == qn.kappa()

@@ -21,7 +21,6 @@ from kgyukawa import (
     QuantumNumbers,
     count_nodes,
     default_radial_grid,
-    degeneracy_partner,
     derive_coefficients,
     effective_ode_coefficient,
     energy_equation_residual,
@@ -31,6 +30,7 @@ from kgyukawa import (
     solve_energy,
     solve_table,
 )
+from kgyukawa.params import PARTNER_SHIFT
 from kgyukawa.rootfind import bisect
 from kgyukawa.solver import SCAN_EDGE, SCAN_POINTS, TOLERANCE
 from reference_scan import reference_brackets
@@ -297,7 +297,8 @@ def test_kappa_degeneracy_structural(pp_half):
 
 def test_partner_energies_match(pp_plus):
     qn = QuantumNumbers(n=3, l=1, d=6)
-    partner = degeneracy_partner(qn, "up")
+    dl, dd = PARTNER_SHIFT["up"]
+    partner = QuantumNumbers(n=qn.n, l=qn.l + dl, d=qn.d + dd)
     assert (partner.n, partner.l, partner.d) == (3, 2, 4)
     ea = solve_energy(pp_plus, MP, qn).energy
     eb = solve_energy(pp_plus, MP, partner).energy
