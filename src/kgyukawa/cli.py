@@ -116,7 +116,10 @@ def parse_range(spec: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            try:
+                return list(range(lo, hi + 1))
+            except MemoryError:  # Python's own, which carries no text
+                raise MemoryError(f"cannot hold the {hi - lo + 1} values of range {spec!r}") from None
         values = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"cannot parse range {spec!r}; use LO:HI or a,b,c") from None

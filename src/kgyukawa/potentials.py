@@ -1,6 +1,7 @@
 """Yukawa potential, its exponential approximants, and approximation quality."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,14 @@ def yukawa(r, strength: float, a: float):
 def approx_yukawa(r, strength: float, a: float):
     """Exponential-rational approximant -2a*strength*exp(-2ar)/(1-exp(-2ar)),
     valid for a*r << 1.  The denominator is -expm1(-2ar), which keeps its
-    precision where 1 - exp(-2ar) would cancel to 0."""
+    precision where 1 - exp(-2ar) would cancel to 0.  Where 2a*strength
+    itself is past float range, the product is formed from exp(-2ar) up,
+    so a value that underflows to 0 there is 0 rather than inf * 0."""
     rr = _check_positive_r(r)
     ex = np.exp(-2.0 * a * rr)
-    out = -2.0 * a * strength * ex / -np.expm1(-2.0 * a * rr)
+    scale = -2.0 * a * strength
+    num = scale * ex if math.isfinite(scale) else ex * strength * a * -2.0
+    out = num / -np.expm1(-2.0 * a * rr)
     return float(out) if rr.ndim == 0 else out
 
 

@@ -131,19 +131,27 @@ def energy_equation_residual(
     the condition (K -+ eps/a)^2 = -(E/a - 2 v0)^2 + (M/a + 2 s0)^2
     with eps^2 + E^2 = M^2 cancelled exactly, times a, so it has the
     same sign and roots but no terms of order (M/a)^2.  Continuous in E
-    on (-M, M); a bound state of the branch makes it zero.  Accepts a
-    scalar or ndarray E.
+    on (-M, M); a bound state of the branch makes it zero.
+
+    Two paths, one formula: a Python float E (bisection's midpoints) is
+    evaluated with ``math``, anything else (an ndarray, a numpy scalar,
+    a list) with numpy.  Both return the same bits; a scalar E gives a
+    Python float, an array E an array.
     """
     sign = _eps_sign(branch)
     k = _k(pp, qn)
     m, a, v0, s0 = mp.mass, pp.a, pp.v0, pp.s0
-    E = np.asarray(E, dtype=float)
-    if not np.all(np.abs(E) < m):
+    if type(E) is float:
+        inside, sqrt = -m < E < m, math.sqrt
+    else:
+        E = np.asarray(E, dtype=float)
+        inside, sqrt = np.all(np.abs(E) < m), np.sqrt
+    if not inside:
         raise DomainError("E must lie strictly inside (-M, M)")
-    eps = np.sqrt(m * m - E * E)
+    eps = sqrt(m * m - E * E)
     c = a * (k * k + 4.0 * (v0 * v0 - s0 * s0)) - 4.0 * s0 * m
     out = c - 4.0 * v0 * E + 2.0 * sign * k * eps
-    return float(out) if out.ndim == 0 else out
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def _no_bound_state(branch: str, qn: QuantumNumbers) -> NoRootInBracket:

@@ -373,6 +373,10 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
     # printed a nan row and three inf rows, exit 0
     (["potential", "--v0", "1", "--a", "0.1", "--r-max", "inf", "--points", "4"], 1,
      lambda out, err: out == "" and "invalid input: need 0 < r_min < r_max < inf" in err),
+    # 2a*strength overflowed and met exp(-2ar) = 0 as NaN, exit 3
+    (["potential", "--v0", "1e12", "--a", "1e300", "--points", "3"], 0,
+     lambda out, err: err == "" and [row[1:4] for row in csv.reader(io.StringIO(out))][1:]
+     == [["-0", "-0", "0"]] * 3),
     # a NaN threshold switched the check off, exit 0
     (["degeneracy", *BASE, "--n-range", "1", "--l-range", "0", "--dim-range", "3:4",
       "--max-delta", "nan"], 1,
@@ -382,7 +386,7 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
         "solve-huge-scalar-coupling", "wavefunction-0-points",
         "wavefunction-negative-points", "wavefunction-1-point", "potential-zero-a",
         "potential-negative-a", "potential-nan-v0", "potential-infinite-r-max",
-        "degeneracy-nan-max-delta"])
+        "potential-approximant-overflows-to-zero", "degeneracy-nan-max-delta"])
 def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code
@@ -433,6 +437,9 @@ def test_inputs_past_float_range_are_typed_errors(capsys, argv, code, message):
     assert got == code
     assert out == ""
     assert err.startswith(message)
+    if message.endswith("MemoryError: "):
+        # Python's own MemoryError has no text: the line must say what failed
+        assert err[len(message):].strip()
 
 
 @pytest.mark.parametrize("error, code, message", [

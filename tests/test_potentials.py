@@ -115,8 +115,7 @@ def test_profile_underflow_is_nan_without_warning():
 
 @pytest.mark.parametrize("strength, a, r_min, r_max", [
     (1.7e308, 1e-12, 1e-12, 0.05),  # exact and approximant past float range
-    (1e12, 1e300, 0.1, 20.0),  # the approximant's 2a*strength overflows
-], ids=["potential-overflows", "approximant-overflows"])
+], ids=["potential-overflows"])
 def test_profile_past_float_range_is_non_finite(strength, a, r_min, r_max):
     # each printed -inf or nan with exit 0, after a RuntimeWarning
     with warnings.catch_warnings():
@@ -131,6 +130,23 @@ def test_profile_overflow_to_zero_is_silent():
         warnings.simplefilter("error")
         prof = profile(1e-12, 1e300, 0.2, 1e300, 2)
     assert np.all(prof.exact == 0.0) and np.all(prof.approx == 0.0)
+
+
+def test_approximant_overflow_to_zero():
+    # 2a*strength = 2e312 overflows while exp(-2ar) underflows to 0: the
+    # product was inf * 0 = NaN, and `kgyukawa potential --v0 1e12 --a
+    # 1e300` exited 3; formed from exp(-2ar) up it is the 0 it should be
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = profile(1e12, 1e300, 0.1, 20.0, 3)
+        point = approx_yukawa(0.1, 1e12, 1e300)
+    assert np.all(prof.exact == 0.0) and np.all(prof.approx == 0.0)
+    assert point == 0.0
+    # where exp(-2ar) is not 0 the reordered product is the finite value
+    # that the overflowing scale hid
+    r = 340.0 / 1e300
+    want = 2e12 * math.exp(-680.0) / -math.expm1(-680.0) * 1e300
+    assert approx_yukawa(r, 1e12, 1e300) == pytest.approx(-want, rel=1e-12)
 
 
 def test_profile_validation():

@@ -1,4 +1,5 @@
 """Energy equation, root finder, tables and radial wavefunctions."""
+import hashlib
 import itertools
 import math
 import random
@@ -89,7 +90,7 @@ def test_overstrong_vector_coupling_raises():
     with pytest.raises(ComplexChannel):
         map_to_nu(pp, MP, qn, -0.5)
     with pytest.raises(ComplexChannel):
-        energy_equation_residual(-0.5, pp, MP, qn)
+        energy_equation_residual(-0.5, pp, MP, qn)  # a Python float: the math path
 
 
 def test_residual_small_at_published_energies(pp_plus, pp_minus):
@@ -100,14 +101,45 @@ def test_residual_small_at_published_energies(pp_plus, pp_minus):
 
 def test_residual_domain_guard(pp_half):
     qn = QuantumNumbers(n=1, l=0, d=3)
-    with pytest.raises(DomainError):
-        energy_equation_residual(1.0, pp_half, MP, qn)
-    with pytest.raises(DomainError):
-        energy_equation_residual(-1.5, pp_half, MP, qn)
-    # NaN passed the old |E| >= M test and came back as the residual
-    for E in (math.nan, [-0.5, math.nan]):
+    # Python floats take the math path, arrays the numpy one
+    for E in (1.0, -1.0, -1.5, 2.0, math.inf, -math.inf, np.array([1.0]), np.array([-1.5])):
         with pytest.raises(DomainError):
             energy_equation_residual(E, pp_half, MP, qn)
+    # NaN passed the old |E| >= M test and came back as the residual
+    for E in (math.nan, np.array([math.nan]), [-0.5, math.nan]):
+        with pytest.raises(DomainError):
+            energy_equation_residual(E, pp_half, MP, qn)
+
+
+_SCAN_END = 1.0 - SCAN_EDGE  # the scan's end points, at M = 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    branch=st.sampled_from(["published", "decaying"]),
+    v0=st.floats(0.0, 0.3),
+    beta=st.floats(-1.0, 1.0),
+    a=st.one_of(st.floats(0.0005, 0.1), st.floats(1e-300, 1.0)),
+    n=st.integers(1, 3),
+    l=st.integers(0, 2),
+    d=st.integers(2, 10),
+    E=st.one_of(st.sampled_from([-_SCAN_END, _SCAN_END]),
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+def test_float_path_equals_array_path(branch, v0, beta, a, n, l, d, E):
+    # bisection hands the residual Python floats, which it evaluates with
+    # math; the scan's slices go through numpy: the bits must agree
+    pp = PotentialParams(v0=v0, s0=beta * v0, a=a)
+    qn = QuantumNumbers(n=n, l=l, d=d)
+    try:
+        want = energy_equation_residual(np.array([E]), pp, MP, qn, branch)[0]
+    except ComplexChannel:
+        with pytest.raises(ComplexChannel):
+            energy_equation_residual(E, pp, MP, qn, branch)
+        return
+    got = energy_equation_residual(E, pp, MP, qn, branch)
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
 
 
 def test_closed_form_equals_four_times_canonical_residual(pp_half):
@@ -215,6 +247,39 @@ def test_solver_matches_reference_scan_and_bisect():
     assert all(found.values()), found
 
 
+# sha256 of the lines test_solver_fingerprint_is_unchanged hashes, recorded
+# before the residual gained its Python-float path; a change to the solver
+# that moves any bit of any draw changes it
+SOLVER_FINGERPRINT = "0e03bb25c518cb1b1d68c7a405807d4fa1f48d7b793eddbfe8d4660e1c803196"
+
+
+def test_solver_fingerprint_is_unchanged():
+    # 400 seeded draws (about 1 s), alternating the published branch over
+    # the perfbench `solve` ranges with the decaying branch over the halved
+    # couplings that `limits` solves: one line per draw, energy, epsilon,
+    # residual and bracket as hex with the iteration count, or the
+    # exception class when there is no solution
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for i in range(400):
+        branch = ("published", "decaying")[i % 2]
+        if branch == "published":
+            v0, a = rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.1)
+        else:
+            v0, a = rng.uniform(0.05, 0.15) / 2.0, rng.uniform(0.0005, 0.005)
+        pp = PotentialParams(v0=v0, s0=rng.uniform(-1.0, 1.0) * v0, a=a)
+        qn = QuantumNumbers(n=rng.randint(1, 3), l=rng.randint(0, 2), d=rng.randint(2, 10))
+        try:
+            sol = solve_energy(pp, MP, qn, branch)
+        except KgYukawaError as exc:
+            line = type(exc).__name__
+        else:
+            line = " ".join([sol.energy.hex(), sol.epsilon.hex(), sol.residual.hex(),
+                             sol.bracket[0].hex(), sol.bracket[1].hex(), str(sol.iterations)])
+        digest.update((line + "\n").encode())
+    assert digest.hexdigest() == SOLVER_FINGERPRINT
+
+
 def test_solve_holds_no_array_of_the_whole_scan():
     # the 20000-point grid takes 160 kB; the residual over all of it, and
     # each temporary that computing it makes, would take as much again
@@ -238,12 +303,16 @@ def test_decaying_solve_scans_only_the_top_slice(monkeypatch, branch, slices):
     scanned = []
 
     def counted(E, *args):
-        scanned.append(np.ndim(E))
+        scanned.append(E)
         return energy_equation_residual(E, *args)
 
     monkeypatch.setattr("kgyukawa.solver.energy_equation_residual", counted)
     solve_energy(PotentialParams(0.05, 0.025, 0.002), MP, QuantumNumbers(1, 0, 3), branch)
-    assert scanned.count(1) == slices  # the scalar calls are bisection's
+    slice_calls = [E for E in scanned if isinstance(E, np.ndarray)]
+    assert len(slice_calls) == slices
+    # the others are bisection's, on the residual's Python-float path
+    scalars = [E for E in scanned if not isinstance(E, np.ndarray)]
+    assert scalars and all(type(E) is float for E in scalars)
 
 
 def test_small_screening_root_survives_consistency_check():
