@@ -9,7 +9,9 @@ form: the quantization condition in K = 2n+1+Lambda and eps, with two
 branches (see :func:`energy_equation_residual`), is solved by a dense
 scan that runs down from +M, with bisection in the bracket it keeps: the
 decaying branch stops at the first bracket below +M, the published branch
-scans down to -M for the last one.  The wavefunction exponents and Jacobi
+scans down to -M for the last one.  A branch with no root is proven
+empty from the residual's values at the scan's ends and at its one
+extremum, before any scan.  The wavefunction exponents and Jacobi
 parameters are written down directly (see :func:`radial_wavefunction`).
 """
 from __future__ import annotations
@@ -160,6 +162,32 @@ def _no_bound_state(branch: str, qn: QuantumNumbers) -> NoRootInBracket:
     return NoRootInBracket(f"no sign change on the {branch} branch for {qn}: no bound state")
 
 
+def _empty_branch(pp, mp, qn, branch: str, edge: float) -> bool:
+    """True when the residual is proven to keep one strict sign on
+    [-edge, edge], so a scan there finds nothing.
+
+    The eps term makes it convex on the published branch and concave on
+    the decaying one, so its values at the two ends and at its one
+    extremum E* = M t / sqrt(1 + t^2), t = +2 v0 / K (published) or
+    -2 v0 / K (decaying), clipped to the ends, bound it everywhere.  Its
+    float values are within a few 1e-12 * S of the exact ones (worst at
+    the ends, where M^2 - E^2 cancels), S the sum of its terms'
+    magnitudes, so a bound clearing 1e-9 * S leaves every scanned value
+    with the same strict sign.  S not finite proves nothing.
+    """
+    ends = [energy_equation_residual(E, pp, mp, qn, branch) for E in (-edge, edge)]
+    k, m, v0, s0 = _k(pp, qn), mp.mass, pp.v0, pp.s0
+    scale = (pp.a * (k * k + 4.0 * (v0 * v0 + s0 * s0))
+             + 4.0 * (abs(v0) + abs(s0)) * m + 2.0 * k * m)
+    if not scale < math.inf:
+        return False
+    t = -2.0 * _eps_sign(branch) * v0 / k
+    turn = min(max(m * (t / math.hypot(1.0, t)), -edge), edge)
+    values = ends + [energy_equation_residual(turn, pp, mp, qn, branch)]
+    margin = 1e-9 * scale
+    return min(values) > margin or max(values) < -margin
+
+
 def solve_energy(
     pp: PotentialParams,
     mp: ParticleParams,
@@ -174,7 +202,9 @@ def solve_energy(
     |dE| < TOLERANCE * M, the lowest root on the "published" branch, which
     scans all the way down to -M, or the highest on the "decaying"
     branch (the state with a nonrelativistic counterpart near E = +M),
-    which stops at the first bracket below +M.
+    which stops at the first bracket below +M.  When the residual's
+    values at the scan's ends and extremum prove that it keeps one sign
+    over the whole scan, no scan runs.
 
     Raises :class:`NoRootInBracket` when no root is found: no bound
     state for these quantum numbers at these couplings.
@@ -184,7 +214,10 @@ def solve_energy(
     def f(E):
         return energy_equation_residual(E, pp, mp, qn, branch)
 
-    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
+    edge = m * (1.0 - SCAN_EDGE)
+    if _empty_branch(pp, mp, qn, branch, edge):
+        raise _no_bound_state(branch, qn)
+    grid = np.linspace(-edge, edge, SCAN_POINTS)
     # brackets are disjoint and come down from +M, so their roots do too:
     # the decaying branch keeps the first, the published one the last
     bracket = None

@@ -199,17 +199,35 @@ def test_both_branches_match_closed_form(v0, ratio, a, n, l, d):
             assert solve_energy(pp, MP, qn, branch).energy == pytest.approx(want, abs=1e-10)
 
 
-def _reference_solve(pp, qn, branch):
-    """solve_energy's result fields as hex, from the reference scan and bisect."""
-    m = MP.mass
-    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
-    brackets = reference_brackets(grid, energy_equation_residual(grid, pp, MP, qn, branch))
-    if not brackets:
-        raise NoRootInBracket
+def _reference_residual(pp, qn, branch):
+    """The branch's residual at M = 1, written out with the formula and the
+    operation order of energy_equation_residual, so its bits must agree:
+    Python floats go through math, arrays through numpy."""
+    m, a, v0, s0 = MP.mass, pp.a, pp.v0, pp.s0
+    kappa = qn.d + 2 * qn.l - 2
+    chan = kappa * kappa + 4.0 * (s0 * s0 - v0 * v0)
+    if chan < 0.0:
+        raise ComplexChannel(chan)
+    k = 2 * qn.n + 1 + math.sqrt(chan)
+    c = a * (k * k + 4.0 * (v0 * v0 - s0 * s0)) - 4.0 * s0 * m
+    sign = {"published": -1.0, "decaying": 1.0}[branch]
 
     def f(E):
-        return energy_equation_residual(E, pp, MP, qn, branch)
+        sqrt = math.sqrt if type(E) is float else np.sqrt
+        return c - 4.0 * v0 * E + 2.0 * sign * k * sqrt(m * m - E * E)
 
+    return f
+
+
+def _reference_solve(pp, qn, branch):
+    """solve_energy's result fields as hex, from the reference residual,
+    a full scan of all SCAN_POINTS points and bisection."""
+    f = _reference_residual(pp, qn, branch)
+    m = MP.mass
+    grid = np.linspace(-m * (1.0 - SCAN_EDGE), m * (1.0 - SCAN_EDGE), SCAN_POINTS)
+    brackets = reference_brackets(grid, f(grid))
+    if not brackets:
+        raise NoRootInBracket
     lo, hi, f_lo = brackets[0] if branch == "published" else brackets[-1]
     root, iters = bisect(f, lo, hi, f_lo, TOLERANCE)
     return float(root).hex(), f(root).hex(), float(lo).hex(), float(hi).hex(), iters
@@ -222,15 +240,17 @@ def _outcome(solve, *args):
         return type(exc)
 
 
+def _solved_hex(pp, qn, branch):
+    """_reference_solve's fields, from solve_energy."""
+    sol = solve_energy(pp, MP, qn, branch)
+    return (sol.energy.hex(), sol.residual.hex(), sol.bracket[0].hex(),
+            sol.bracket[1].hex(), sol.iterations)
+
+
 def test_solver_matches_reference_scan_and_bisect():
     # 200 seeded draws over the perfbench `states` ranges, alternating the
     # published branch (`solve` couplings) with the decaying one (`limits`
     # couplings); each reference scan walks 20000 Python floats (about 3 ms)
-    def solve(pp, qn, branch):
-        sol = solve_energy(pp, MP, qn, branch)
-        return (sol.energy.hex(), sol.residual.hex(), sol.bracket[0].hex(),
-                sol.bracket[1].hex(), sol.iterations)
-
     rng = random.Random(7)
     found = {"published": 0, "decaying": 0}
     for i in range(200):
@@ -242,9 +262,54 @@ def test_solver_matches_reference_scan_and_bisect():
         pp = PotentialParams(v0=v0, s0=rng.uniform(-1.0, 1.0) * v0, a=a)
         qn = QuantumNumbers(n=rng.randint(1, 3), l=rng.randint(0, 2), d=rng.randint(2, 10))
         want = _outcome(_reference_solve, pp, qn, branch)
-        assert _outcome(solve, pp, qn, branch) == want
+        assert _outcome(_solved_hex, pp, qn, branch) == want
         found[branch] += isinstance(want, tuple)
     assert all(found.values()), found
+
+
+def _root_threshold(v0, s0, n, l, d, branch):
+    """Two screenings less than 1e-9 apart, one on each side of a point
+    where the branch gains or loses its root (by tests/closed_form.py), or
+    () when it has a root at both a = 1e-8 and a = 1 or at neither."""
+    def has_root(a):
+        return not isinstance(closed_form_energy(v0, s0, a, MP.mass, n, l, d, branch), str)
+
+    lo, hi = 1e-8, 1.0
+    if has_root(lo) == has_root(hi):
+        return ()
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if has_root(mid) == has_root(lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    branch=st.sampled_from(["published", "decaying"]),
+    v0=st.floats(0.0, 0.6),
+    beta=st.floats(-1.5, 1.5),
+    a=st.one_of(st.floats(0.0005, 0.1), st.floats(1e-8, 1.0)),
+    n=st.integers(1, 3),
+    l=st.integers(0, 2),
+    d=st.integers(2, 10),
+    near_threshold=st.booleans(),
+)
+def test_empty_branch_proof_agrees_with_the_full_scan(branch, v0, beta, a, n, l, d,
+                                                      near_threshold):
+    # solve_energy proves a branch empty before it scans; the full scan
+    # must then find nothing, and where it finds a root, solve_energy must
+    # scan too.  Screenings within 1e-9 of where the root appears or
+    # leaves bring the residual's extremum or end value near zero, inside
+    # the proof's margin
+    s0 = beta * v0
+    qn = QuantumNumbers(n=n, l=l, d=d)
+    screenings = (_root_threshold(v0, s0, n, l, d, branch) if near_threshold else ()) or (a,)
+    for a in screenings:
+        pp = PotentialParams(v0=v0, s0=s0, a=a)
+        assert _outcome(_solved_hex, pp, qn, branch) == _outcome(_reference_solve, pp, qn, branch)
 
 
 # sha256 of the lines test_solver_fingerprint_is_unchanged hashes, recorded
@@ -295,11 +360,15 @@ def test_solve_holds_no_array_of_the_whole_scan():
         assert peak < 400_000, branch
 
 
-@pytest.mark.parametrize("branch, slices", [("decaying", 1), ("published", 10)])
-def test_decaying_solve_scans_only_the_top_slice(monkeypatch, branch, slices):
-    # a `kgyukawa limits` state: the halved couplings of v0 = 0.1, s0 = 0.05
-    # at a = 0.002; its decaying root lies in the top slice of the scan,
-    # and the published branch scans on down to -M
+@pytest.mark.parametrize("branch, s0, slices",
+                         [("decaying", 0.025, 1), ("published", 0.025, 10), ("decaying", -0.05, 0)],
+                         ids=["decaying-1", "published-10", "decaying-0"])
+def test_decaying_solve_scans_only_the_top_slice(monkeypatch, branch, s0, slices):
+    # `kgyukawa limits` states: the halved couplings of v0 = 0.1 and
+    # s0 = 0.05 or -0.1 at a = 0.002.  At s0 = 0.025 the decaying root lies
+    # in the top slice of the scan, and the published branch scans on down
+    # to -M; at s0 = -0.05 the decaying branch is proven empty from the
+    # residual's ends and extremum, before any slice
     scanned = []
 
     def counted(E, *args):
@@ -307,10 +376,13 @@ def test_decaying_solve_scans_only_the_top_slice(monkeypatch, branch, slices):
         return energy_equation_residual(E, *args)
 
     monkeypatch.setattr("kgyukawa.solver.energy_equation_residual", counted)
-    solve_energy(PotentialParams(0.05, 0.025, 0.002), MP, QuantumNumbers(1, 0, 3), branch)
+    outcome = _outcome(solve_energy, PotentialParams(0.05, s0, 0.002), MP,
+                       QuantumNumbers(1, 0, 3), branch)
+    assert (outcome is NoRootInBracket) == (slices == 0)
     slice_calls = [E for E in scanned if isinstance(E, np.ndarray)]
     assert len(slice_calls) == slices
-    # the others are bisection's, on the residual's Python-float path
+    # the others are the proof's and bisection's, on the residual's
+    # Python-float path
     scalars = [E for E in scanned if not isinstance(E, np.ndarray)]
     assert scalars and all(type(E) is float for E in scalars)
 
