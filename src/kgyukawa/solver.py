@@ -175,15 +175,15 @@ def _empty_branch(pp, mp, qn, branch: str, edge: float) -> bool:
     magnitudes, so a bound clearing 1e-9 * S leaves every scanned value
     with the same strict sign.  S not finite proves nothing.
     """
-    ends = [energy_equation_residual(E, pp, mp, qn, branch) for E in (-edge, edge)]
+    sign = _eps_sign(branch)
     k, m, v0, s0 = _k(pp, qn), mp.mass, pp.v0, pp.s0
     scale = (pp.a * (k * k + 4.0 * (v0 * v0 + s0 * s0))
              + 4.0 * (abs(v0) + abs(s0)) * m + 2.0 * k * m)
     if not scale < math.inf:
         return False
-    t = -2.0 * _eps_sign(branch) * v0 / k
+    t = -2.0 * sign * v0 / k
     turn = min(max(m * (t / math.hypot(1.0, t)), -edge), edge)
-    values = ends + [energy_equation_residual(turn, pp, mp, qn, branch)]
+    values = [energy_equation_residual(E, pp, mp, qn, branch) for E in (-edge, edge, turn)]
     margin = 1e-9 * scale
     return min(values) > margin or max(values) < -margin
 
