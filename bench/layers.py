@@ -1,4 +1,4 @@
-"""In-process timings of kgyukawa's layers, written to a BENCH_<n>.json file.
+"""Timings of kgyukawa's layers, written to a BENCH_<n>.json file.
 
     PYTHONPATH=src python bench/layers.py --repeats 21 --out BENCH_<n>.json
 
@@ -7,6 +7,11 @@ PYTHONPATH at another checkout's src times that tree.  Each repeat calls
 every layer once, in a fixed order, so a drift of the host's speed hits
 all layers alike; a warm-up round runs first and is not recorded.  Each
 layer reports the median and quartiles of its repeats, in seconds.
+
+Most layers run in process.  The "process." layers run a whole
+``kgyukawa`` command as a new process of the same interpreter, with the
+imported tree first on its PYTHONPATH; they skip the warm-up round, since
+a process starts cold whatever ran before it.
 
 With --parent FILE, a file this script wrote for the parent tree on the
 same host, the output also holds that file's layers under "parent" and
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -68,6 +74,15 @@ ORACLE_GRID = RadialGrid(r_min=1e-4, r_max=400.0, points=16000)
 ORACLE_INDEX = 1
 ORACLE_HALF_WIDTH = 5e-3
 ORACLE_SCAN_POINTS = 11
+# whole commands, each with the exit code it must give: one solve, the
+# 72-cell default grid and the oracle at 2000 points, whose published
+# energy has no closure root next to it
+PROCESSES = {
+    "process.solve": (["solve", "--v0", "0.2", "--s0", "0.1", "--a", "0.05"], 0),
+    "process.table.72": (["table", "--v0", "0.2", "--s0", "0.1", "--a", "0.05"], 0),
+    "process.oracle.2000": (["oracle", "--v0", "0.2", "--s0", "0.1", "--a", "0.05",
+                             "--points", "2000"], 2),
+}
 
 
 def _no_state_solve():
@@ -83,6 +98,18 @@ def _no_state_limits():
         code = cli_main(NO_STATE_LIMITS)
     if code != 2:
         raise AssertionError(f"limits exited {code}, not 2")
+
+
+def _process(args: list[str], want: int):
+    """Run ``kgyukawa args`` as a process of this interpreter on the
+    imported tree; its output is discarded."""
+    src = str(Path(kgyukawa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "kgyukawa.cli", *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
+    if proc.returncode != want:
+        raise AssertionError(f"kgyukawa {' '.join(args)} exited {proc.returncode}, not {want}")
 
 
 def layers() -> dict:
@@ -110,6 +137,7 @@ def layers() -> dict:
         "oracle.oracle_energy.16000": lambda: oracle_energy(PP, MP, QN, ORACLE_GRID, "approximated",
                                                             ORACLE_INDEX, bracket,
                                                             ORACLE_SCAN_POINTS),
+        **{name: functools.partial(_process, *command) for name, command in PROCESSES.items()},
     }
 
 
@@ -119,6 +147,8 @@ def measure(repeats: int) -> dict:
     times = {name: [] for name in calls}
     for round_ in range(repeats + 1):  # round 0 warms up
         for name, call in calls.items():
+            if not round_ and name in PROCESSES:
+                continue
             start = time.perf_counter()
             call()
             elapsed = time.perf_counter() - start

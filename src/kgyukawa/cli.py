@@ -131,10 +131,9 @@ def parse_range(spec: str) -> list[int]:
 def _emit(params: dict, columns, records, payload=None):
     """Write to --out or stdout: under --format json the payload, or else
     the records themselves; otherwise CSV, the formatted records under the
-    column names, or text lines when columns is None (text under either
-    format if no payload).  An --out that cannot be written is invalid
-    input."""
-    if params["format"] == "json" and (payload is not None or columns is not None):
+    column names, or text lines when columns is None.  An --out that
+    cannot be written is invalid input."""
+    if params.get("format") == "json":  # limits takes no --format
         text = json.dumps(records if payload is None else payload, indent=2) + "\n"
     elif columns is None:
         text = "".join(line + "\n" for line in records)
@@ -278,30 +277,40 @@ COMMON_FLAGS = {
     "--out": dict(help="Output file (default stdout)."),
     "--config": dict(help="JSON file mirroring the flags; flags override it."),
 }
+
+
+def _common_flags(*left_out: str) -> dict:
+    """COMMON_FLAGS in their order, but for the ones left out."""
+    return {flag: kwargs for flag, kwargs in COMMON_FLAGS.items() if flag not in left_out}
+
+
 STATE_FLAGS = {"--n": dict(type=int, default=1), "--l": dict(type=int, default=0),
                "--dim": dict(type=int, default=3)}
 GRID_FLAGS = {"--n-range": dict(default="1:3"), "--l-range": dict(default="0:2"),
               "--dim-range": dict(default="3:10")}
-# each command: its function and the flags it takes besides COMMON_FLAGS
+# each command: its function and every flag it takes but --help
 COMMANDS = {
-    "solve": (_solve, STATE_FLAGS),
-    "table": (_table, GRID_FLAGS),
-    "degeneracy": (_degeneracy, {**GRID_FLAGS, "--max-delta": dict(
+    "solve": (_solve, {**COMMON_FLAGS, **STATE_FLAGS}),
+    "table": (_table, {**COMMON_FLAGS, **GRID_FLAGS}),
+    "degeneracy": (_degeneracy, {**COMMON_FLAGS, **GRID_FLAGS, "--max-delta": dict(
         type=float, default=1e-10, help="Acceptance threshold on |E - E_partner|.")}),
-    "wavefunction": (_wavefunction, {**STATE_FLAGS,
+    "wavefunction": (_wavefunction, {**COMMON_FLAGS, **STATE_FLAGS,
                                      "--points": dict(type=int, default=DEFAULT_WF_POINTS)}),
-    "potential": (_potential, {"--r-min": dict(type=float, default=0.1),
+    # the Yukawa term alone: no scalar coupling, mass or state
+    "potential": (_potential, {**_common_flags("--s0", "--beta", "--mass"),
+                               "--r-min": dict(type=float, default=0.1),
                                "--r-max": dict(type=float, default=20.0),
                                "--points": dict(type=int, default=400)}),
-    "oracle": (_oracle, {**STATE_FLAGS,
+    "oracle": (_oracle, {**COMMON_FLAGS, **STATE_FLAGS,
                          "--mode": dict(choices=("approximated", "exact", "both"),
                                         default="approximated"),
                          "--points": dict(type=int, default=DEFAULT_ORACLE_POINTS)}),
-    "limits": (_limits, {**STATE_FLAGS, "--a-sequence": dict(
+    # text lines only: no --format
+    "limits": (_limits, {**_common_flags("--format"), **STATE_FLAGS, "--a-sequence": dict(
         default="0.002,0.001,0.0005",
         help="Comma-separated screening values for the convergence report.")}),
 }
-FLAGS = {name: {**COMMON_FLAGS, **flags} for name, (_, flags) in COMMANDS.items()}
+FLAGS = {name: flags for name, (_, flags) in COMMANDS.items()}
 METAVARS = {float: "FLOAT", int: "INTEGER", None: "TEXT"}
 
 

@@ -269,16 +269,12 @@ def _no_root(qn, k, mode, grid, lo, hi):
 
 
 def _closure_root(pp, mp, qn, grid, mode, k, bracket, scan_points):
-    m = mp.mass
-    if bracket is None:
-        lo, hi = -m * (1.0 - 1e-6), m * (1.0 - 1e-6)
-    else:
-        # clip into the open interval; states near +-M produce brackets
-        # that stick out past the branch points
-        lo = max(bracket[0], -m * (1.0 - SCAN_EDGE))
-        hi = min(bracket[1], m * (1.0 - SCAN_EDGE))
-        if not (lo < hi):
-            raise DomainError(f"bracket {bracket} does not intersect (-M, M)")
+    # clip into the open interval; states near +-M produce brackets that
+    # stick out past the branch points
+    edge = mp.mass * (1.0 - SCAN_EDGE)
+    lo, hi = (-edge, edge) if bracket is None else (max(bracket[0], -edge), min(bracket[1], edge))
+    if not (lo < hi):
+        raise DomainError(f"bracket {bracket} does not intersect (-M, M)")
     g = _closure(pp, mp, qn, grid, mode, k)
     # g is never zero or non-finite, so the first bracket is the first pair
     # of neighbouring scan points where its sign flips; g is evaluated
@@ -351,7 +347,7 @@ class OracleComparison:
     doubled grid; "no_root_in_bracket" is the labeled discrepancy case,
     reported with the lowest closure root at the same eigen_index on the
     grid alone (``nearest_root``, the first sign change of a 101-point
-    scan up from -M(1 - 1e-6), with no doubled grid or Richardson
+    scan up from -M(1 - SCAN_EDGE), with no doubled grid or Richardson
     estimate) when one exists.
     """
 
@@ -380,7 +376,7 @@ def cross_validate(
     :func:`oracle_energy`; on failure reports the mismatch explicitly,
     with the lowest closure root at the same eigen_index on the grid
     alone: the one in the first sign change of a 101-point scan up from
-    -M(1 - 1e-6), bisected to 1e-12 and not checked against the doubled
+    -M(1 - SCAN_EDGE), bisected to 1e-12 and not checked against the doubled
     grid.
     """
     k = qn.n

@@ -17,7 +17,7 @@ from kgyukawa import (
     NonFinite,
     NormalizationFailure,
 )
-from kgyukawa.cli import main
+from kgyukawa.cli import FLAGS, main
 from kgyukawa.solver import solve_energy
 
 BASE = ["--v0", "0.2", "--s0", "0.1", "--a", "0.05", "--mass", "1"]
@@ -169,6 +169,16 @@ def test_config_supplies_every_flag(capsys, tmp_path):
     assert len(list(csv.DictReader(io.StringIO(out)))) == 40
 
 
+@pytest.mark.parametrize("command, ignored", [("potential", {"s0": 0.1, "mass": 2.0}),
+                                              ("limits", {"format": "json"})])
+def test_config_key_of_a_flag_not_taken_is_ignored(capsys, tmp_path, command, ignored):
+    taken = {"v0": 0.02, "a": 0.002, **({"s0": 0.02} if command == "limits" else {})}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**taken, **ignored}))
+    flags = [tok for key, value in taken.items() for tok in (f"--{key}", str(value))]
+    assert run(capsys, [command, "--config", str(cfg)]) == run(capsys, [command, *flags])
+
+
 @pytest.mark.parametrize("bad", [{"v0": "abc"}, {"n": 2.7}])
 def test_config_value_of_wrong_type_is_input_error(capsys, tmp_path, bad):
     cfg = tmp_path / "run.json"
@@ -237,6 +247,21 @@ def test_paper_grid_degeneracy_solves_each_table_once(monkeypatch, capsys, beta,
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize("s0", ["0.1", "0.2", "-0.2"])
+def test_paper_grid_partners_share_their_state_energy(capsys, s0):
+    # a partner (n, l+-1, D-+2) has its state's float K, so the per-K memo
+    # hands it the same solution: every delta is exactly 0, and the
+    # --max-delta verdict fires only for a negative threshold
+    code, out, err = run(capsys, ["degeneracy", "--v0", "0.2", "--s0", s0, "--a", "0.05",
+                                  "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["rows"]) == 111
+    assert payload["max_delta"] == 0.0
+    assert all(float(row["delta"]) == 0.0 for row in payload["rows"])
+    assert err == "max |delta| = 0\n"
+
+
 def test_wavefunction_csv_and_node_report(capsys):
     code, out, err = run(capsys, [
         "wavefunction", *BASE, "--n", "2", "--l", "0", "--dim", "3", "--points", "512",
@@ -301,8 +326,8 @@ COMMANDS = ("solve", "table", "degeneracy", "wavefunction", "potential", "oracle
 @pytest.mark.parametrize("missing", ["--v0", "--a"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_v0_and_a_are_required(capsys, command, missing):
-    flags = {"--v0": "0.2", "--s0": "0.1", "--a": "0.05"}
-    del flags[missing]
+    flags = {flag: value for flag, value in {"--v0": "0.2", "--s0": "0.1", "--a": "0.05"}.items()
+             if flag in FLAGS[command] and flag != missing}
     code, out, err = run(capsys, [command, *(tok for kv in flags.items() for tok in kv)])
     assert code == 1
     assert out == ""
@@ -485,10 +510,11 @@ def test_every_command_documents_its_flags(capsys, command):
     # one block per flag: its line and the lines its help wraps onto
     blocks = {block.split()[0]: " ".join(block.split())
               for block in re.split(r"\n  (?=--)", out)[1:]}
-    assert list(blocks) == ["--v0", "--s0", "--beta", "--a", "--mass", "--format", "--out",
-                            "--config", *HELP_DEFAULTS[command], "--help"]
-    for flag, default in {"--mass": "1.0", **HELP_DEFAULTS[command]}.items():
-        assert f"[default: {default}]" in blocks[flag]
+    assert list(blocks) == [*FLAGS[command], "--help"]
+    assert set(HELP_DEFAULTS[command]) <= set(blocks)
+    for flag, default in {"--mass": "1.0", "--format": "csv", **HELP_DEFAULTS[command]}.items():
+        if flag in blocks:
+            assert f"[default: {default}]" in blocks[flag]
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -41,8 +41,8 @@ PER_COMMAND = {
     "oracle": ["oracle", *BASE, "--points", "2000"],
     "oracle-mismatch": ["oracle", "--v0", "0.2", "--s0", "0.2", "--a", "0.05",
                         "--points", "2000", "--mode", "both"],
-    "limits": ["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002"],
 }
+LIMITS = ["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002"]
 ERROR_PATHS = {
     "degeneracy-violated": ["degeneracy", *BASE, "--n-range", "1", "--l-range", "0",
                             "--dim-range", "3:4", "--max-delta", "-1"],
@@ -67,6 +67,8 @@ ERROR_PATHS = {
     "potential-zero-a": ["potential", "--v0", "0.2", "--a", "0"],
     "potential-negative-a": ["potential", "--v0", "0.2", "--a", "-1"],
     "potential-nan-v0": ["potential", "--v0", "nan", "--a", "0.05"],
+    # potential reads --v0 and --a alone and takes no other coupling
+    "potential-mass": ["potential", "--v0", "0.2", "--a", "0.05", "--mass", "1"],
     "solve-no-bound-state": ["solve", "--v0", "0.2", "--s0", "0.1", "--a", "5"],
     "solve-complex-channel": ["solve", "--v0", "5", "--s0", "0", "--a", "0.05"],
     "solve-missing-a": ["solve", "--v0", "0.2", "--s0", "0.1"],
@@ -80,6 +82,9 @@ ERROR_PATHS = {
 ARGVS = {
     **{f"{name}-{fmt}": [*argv, "--format", fmt]
        for name, argv in PER_COMMAND.items() for fmt in ("csv", "json")},
+    # limits prints text lines and takes no --format
+    "limits-csv": LIMITS,
+    "limits-json": [*LIMITS, "--format", "json"],
     **ERROR_PATHS,
 }
 

@@ -19,20 +19,22 @@ import random
 import re
 import warnings
 
-from kgyukawa.cli import main
+from kgyukawa.cli import FLAGS, main
 
 REALS = (0.0, -0.0, 1e-320, 1e-300, 1e-160, 1e-12, 0.05, 0.2, 1.0, 5.0, 1e12, 1e160,
          1e300, 1.7e308, -0.2, -1e300)
 INTEGERS = (0, 1, 2, 3, -1, 200, 2**53, 10**20, 10**400)
 POINTS = (0, 1, 2, 20, -1, 2**53, 2**53 + 1, 10**20, 10**400)
 COMMANDS = ("solve", "limits", "table", "degeneracy", "wavefunction", "potential", "oracle")
+ALWAYS_GIVEN = {"--v0", "--a", "--s0", "--beta", "--format", "--points"}
 SWEEP_SIZE = 840
 SEED = 2012
 NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
 
 
 def draw(rng: random.Random) -> list[str]:
-    """One argv of a random command, every value drawn from REALS,
+    """One argv of a random command over the flags it takes but --out,
+    --config and one of --s0 and --beta, every value drawn from REALS,
     INTEGERS or POINTS."""
     command = rng.choice(COMMANDS)
 
@@ -42,28 +44,22 @@ def draw(rng: random.Random) -> list[str]:
     def integer():
         return str(rng.choice(INTEGERS))
 
-    argv = [command, "--v0", real(), "--a", real(), "--format", rng.choice(("csv", "json")),
-            rng.choice(("--s0", "--beta")), real()]
-    # each optional flag is given half the time, so that more runs get
-    # past the input checks
-    optional = {"--mass": real}
-    if command in ("table", "degeneracy"):
-        optional.update(dict.fromkeys(("--n-range", "--l-range", "--dim-range"), integer))
-    elif command == "potential":
-        optional.update(dict.fromkeys(("--r-min", "--r-max"), real))
-    else:
-        optional.update(dict.fromkeys(("--n", "--l", "--dim"), integer))
-    if command == "degeneracy":
-        optional["--max-delta"] = real
-    if command == "limits":
-        optional["--a-sequence"] = real
-    if command == "oracle":
-        optional["--mode"] = lambda: rng.choice(("approximated", "exact", "both"))
-    for flag, value in optional.items():
-        if rng.random() < 0.5:
-            argv += [flag, value()]
-    if command in ("wavefunction", "potential", "oracle"):
-        argv += ["--points", str(rng.choice(POINTS))]
+    values = {
+        **dict.fromkeys(("--v0", "--s0", "--beta", "--a", "--mass", "--r-min", "--r-max",
+                         "--max-delta", "--a-sequence"), real),
+        **dict.fromkeys(("--n", "--l", "--dim", "--n-range", "--l-range", "--dim-range"),
+                        integer),
+        "--format": lambda: rng.choice(("csv", "json")),
+        "--mode": lambda: rng.choice(("approximated", "exact", "both")),
+        "--points": lambda: str(rng.choice(POINTS)),
+    }
+    left_out = {"--out", "--config", rng.choice(("--s0", "--beta"))}
+    argv = [command]
+    for flag in FLAGS[command]:
+        # each optional flag is given half the time, so that more runs get
+        # past the input checks
+        if flag not in left_out and (flag in ALWAYS_GIVEN or rng.random() < 0.5):
+            argv += [flag, values[flag]()]
     return argv
 
 

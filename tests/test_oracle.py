@@ -31,6 +31,7 @@ from kgyukawa.oracle import (
 )
 from kgyukawa.potentials import approx_yukawa, centrifugal_approx, yukawa
 from kgyukawa.rootfind import bisect
+from kgyukawa.solver import SCAN_EDGE
 from closed_form import closed_form_energy
 from reference_scan import reference_brackets
 
@@ -641,7 +642,7 @@ def test_closure_root_is_the_first_bracket_of_the_full_scan(mode, k):
     qn = QuantumNumbers(n=1, l=0, d=3)
     grid = oracle_grid(2000)
     g = _closure(pp, MP, qn, grid, mode, k)
-    Es = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 101)
+    Es = np.linspace(-(1.0 - SCAN_EDGE), 1.0 - SCAN_EDGE, 101)
     brackets = reference_brackets(Es, [g(E) for E in Es])
     # a scalar-dominated coupling binds on both sides of E = 0
     assert len(brackets) == 2
