@@ -11,7 +11,13 @@ layer reports the median and quartiles of its repeats, in seconds.
 Most layers run in process.  The "process." layers run a whole
 ``kgyukawa`` command as a new process of the same interpreter, with the
 imported tree first on its PYTHONPATH; they skip the warm-up round, since
-a process starts cold whatever ran before it.
+a process starts cold whatever ran before it.  Each also reports the
+median peak resident set of its process, in MiB, from the rusage of
+os.wait4.  A process keeps the peak of the address space it was forked
+from, across exec, so the command is forked by a small interpreter that
+reaps it, and that reports its wall time, spawn to reap, and its peak;
+forked from this script, with numpy loaded and the layers run, it would
+report this script's peak.
 
 With --parent FILE, a file this script wrote for the parent tree on the
 same host, the output also holds that file's layers under "parent" and
@@ -100,16 +106,36 @@ def _no_state_limits():
         raise AssertionError(f"limits exited {code}, not 2")
 
 
-def _process(args: list[str], want: int):
+# run by ``python -S -c _SPAWN ARGV...``: forks and execs ARGV with its
+# output discarded, reaps it, and prints its wall time, exit code and
+# ru_maxrss
+_SPAWN = """\
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if not pid:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1), os.dup2(null, 2)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _process(args: list[str], want: int) -> tuple[float, int]:
     """Run ``kgyukawa args`` as a process of this interpreter on the
-    imported tree; its output is discarded."""
+    imported tree, its output discarded: its wall time in seconds and
+    its peak resident set, ru_maxrss (KiB on Linux)."""
     src = str(Path(kgyukawa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "kgyukawa.cli", *args],
+    proc = subprocess.run([sys.executable, "-S", "-c", _SPAWN,
+                           sys.executable, "-m", "kgyukawa.cli", *args],
                           env={**os.environ, "PYTHONPATH": path},
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
-    if proc.returncode != want:
-        raise AssertionError(f"kgyukawa {' '.join(args)} exited {proc.returncode}, not {want}")
+                          capture_output=True, text=True, check=True)
+    elapsed, code, peak = proc.stdout.split()
+    if int(code) != want:
+        raise AssertionError(f"kgyukawa {' '.join(args)} exited {code}, not {want}")
+    return float(elapsed), int(peak)
 
 
 def layers() -> dict:
@@ -142,16 +168,21 @@ def layers() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    """Median and quartiles, in seconds, of each layer over repeats rounds."""
+    """Median and quartiles, in seconds, of each layer over repeats rounds,
+    and the median peak RSS, in MiB, of each process layer."""
     calls = layers()
     times = {name: [] for name in calls}
+    peaks = {name: [] for name in PROCESSES}  # KiB
     for round_ in range(repeats + 1):  # round 0 warms up
         for name, call in calls.items():
             if not round_ and name in PROCESSES:
                 continue
             start = time.perf_counter()
-            call()
+            result = call()
             elapsed = time.perf_counter() - start
+            if name in peaks:  # the process's own time, without its spawner's start
+                elapsed, peak = result
+                peaks[name].append(peak)
             if round_:
                 times[name].append(elapsed)
     out = {}
@@ -159,6 +190,8 @@ def measure(repeats: int) -> dict:
         q1, median, q3 = (statistics.quantiles(samples, n=4, method="inclusive")
                           if len(samples) > 1 else samples * 3)
         out[name] = {"median_s": median, "q1_s": q1, "q3_s": q3}
+        if name in peaks:
+            out[name]["peak_rss_mib"] = statistics.median(peaks[name]) / 1024
     return out
 
 

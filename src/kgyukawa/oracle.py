@@ -33,7 +33,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NoRootInBracket, _finite, _integer, _positive, _radii, _within_mass
+from .errors import (
+    DomainError,
+    NoRootInBracket,
+    NonFinite,
+    _finite,
+    _integer,
+    _positive,
+    _radii,
+    _within_mass,
+)
 from .params import ParticleParams, PotentialParams, QuantumNumbers
 from .potentials import approx_yukawa, centrifugal_approx, yukawa
 from .rootfind import bisect
@@ -44,7 +53,8 @@ _TOL = 1e-12
 # steps outward from the coarse root at which the doubled grid's closure is
 # evaluated, on both sides; the last is the half-width of its search
 _FINE_STEPS = (1.25e-5, 2.5e-5, 5e-5, 1e-4)
-# half-width of cross_validate's bracket around the solver energy
+# half-width of cross_validate's bracket around the solver energy, in
+# units of M, since E/M depends on a/M alone
 _HALF_WIDTH = 5e-3
 # grid points of default_oracle_grid and cross_validate
 DEFAULT_ORACLE_POINTS = 16000
@@ -208,8 +218,13 @@ def effective_ode_coefficient(
 def _tridiag(pp, mp, qn, grid: RadialGrid, mode):
     """The finite-difference matrix: shifted(E, x), its diagonal at the
     frozen energy E minus x, written into one buffer that every call
-    overwrites, and the square of the constant off-diagonal -1/h^2."""
+    overwrites, and the square of the constant off-diagonal -1/h^2.  A
+    spacing whose fourth power overflows is a :class:`NonFinite`."""
     h = grid.spacing
+    try:
+        e2 = 1.0 / h**4
+    except OverflowError:
+        raise NonFinite(f"grid spacing {h} is too large: h**4 overflows") from None
     w = _potential(grid.nodes()[1:-1], pp, mp, qn, mode)
     out = np.empty(grid.points - 2)
 
@@ -217,7 +232,7 @@ def _tridiag(pp, mp, qn, grid: RadialGrid, mode):
         np.add(w(E, out), 2.0 / h**2, out=out)
         return np.subtract(out, x, out=out)
 
-    return shifted, 1.0 / h**4
+    return shifted, e2
 
 
 def eigenvalue_k(
@@ -342,7 +357,7 @@ class OracleComparison:
     """Outcome of cross-checking one quantization-equation energy against
     the eigensolver.
 
-    status "validated" means a closure root exists in the +-5e-3
+    status "validated" means a closure root exists in the +-5e-3 M
     bracket around the solver energy, on the grid and next to it on the
     doubled grid; "no_root_in_bracket" is the labeled discrepancy case,
     reported with the lowest closure root at the same eigen_index on the
@@ -371,7 +386,7 @@ def cross_validate(
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
-    Tries the bracket [E_solver - 5e-3, E_solver + 5e-3] at eigen_index
+    Tries the bracket [E_solver - 5e-3 M, E_solver + 5e-3 M] at eigen_index
     n, where the decaying state with the same label lies, first, with
     :func:`oracle_energy`; on failure reports the mismatch explicitly,
     with the lowest closure root at the same eigen_index on the grid
@@ -384,10 +399,11 @@ def cross_validate(
     eps_est = math.sqrt(mp.mass**2 - e_solver**2)
     grid = default_oracle_grid(eps_est, points=points)
     shared = dict(mode=mode, e_solver=e_solver, eigen_index=k)
+    half_width = _HALF_WIDTH * mp.mass
     try:
         res = oracle_energy(
             pp, mp, qn, grid, mode, eigen_index=k,
-            bracket=(e_solver - _HALF_WIDTH, e_solver + _HALF_WIDTH), scan_points=11,
+            bracket=(e_solver - half_width, e_solver + half_width), scan_points=11,
         )
         return OracleComparison(
             **shared, status="validated", e_oracle=res.energy,

@@ -1,6 +1,6 @@
 """bench/layers.py, run in process with one repeat, writes a record of
-every layer with finite timings (about 1.3 s, most of it the three
-``kgyukawa`` processes)."""
+every layer with finite timings, and of each process layer's peak RSS
+(about 1.3 s, most of it the three ``kgyukawa`` processes)."""
 import importlib.util
 import json
 import math
@@ -33,7 +33,8 @@ def test_layer_script_writes_finite_timings_of_every_layer(tmp_path, monkeypatch
                                           "commit", "source_sha256"}
     assert set(result["layers"]) == LAYERS
     for name, stats in result["layers"].items():
-        assert set(stats) == {"median_s", "q1_s", "q3_s"}, name
+        peak = {"peak_rss_mib"} if name.startswith("process.") else set()
+        assert set(stats) == {"median_s", "q1_s", "q3_s", *peak}, name
         assert all(math.isfinite(v) and v > 0.0 for v in stats.values()), name
         assert stats["q1_s"] <= stats["median_s"] <= stats["q3_s"], name
 

@@ -18,7 +18,7 @@ from kgyukawa import (
     NormalizationFailure,
 )
 from kgyukawa.cli import FLAGS, main
-from kgyukawa.solver import solve_energy
+from kgyukawa.solver import solve_energy, solve_table
 
 BASE = ["--v0", "0.2", "--s0", "0.1", "--a", "0.05", "--mass", "1"]
 
@@ -230,10 +230,12 @@ def test_degeneracy_command(capsys):
 
 @pytest.mark.parametrize("beta, most", [("0.5", 36), ("1", 16), ("-1", 16)])
 def test_paper_grid_degeneracy_solves_each_table_once(monkeypatch, capsys, beta, most):
-    # the states and their partners are one table, and a partner shares its
-    # state's K, so each distinct K is solved once; three tables took 99
-    # and 45, and solving each state and each partner apart took 183
-    calls = []
+    # only the 72 states are one table, whose per-K memo solves each
+    # distinct K once; a partner shares its state's K and is read off the
+    # state's cell.  The states with their partners as one table were 216
+    # cells, as three tables 99 and 45 solves, and each state and each
+    # partner apart 183
+    calls, tables = [], []
 
     def counted(pp, mp, qn, *args):
         calls.append(qn)
@@ -241,17 +243,23 @@ def test_paper_grid_degeneracy_solves_each_table_once(monkeypatch, capsys, beta,
 
     monkeypatch.setattr("kgyukawa.solver.solve_energy", counted)
     monkeypatch.setattr("kgyukawa.cli.solve_energy", counted)
+
+    def listed(pp, mp, cells):
+        tables.append(len(cells))
+        return solve_table(pp, mp, cells)
+
+    monkeypatch.setattr("kgyukawa.cli.solve_table", listed)
     code, out, _ = run(capsys, ["degeneracy", "--v0", "0.2", "--beta", beta, "--a", "0.05"])
     assert code == 0
     assert len(out.splitlines()) > 1
+    assert tables == [72]
     assert len(calls) <= most
 
 
 @pytest.mark.parametrize("s0", ["0.1", "0.2", "-0.2"])
 def test_paper_grid_partners_share_their_state_energy(capsys, s0):
-    # a partner (n, l+-1, D-+2) has its state's float K, so the per-K memo
-    # hands it the same solution: every delta is exactly 0, and the
-    # --max-delta verdict fires only for a negative threshold
+    # a partner (n, l+-1, D-+2) has its state's K, so its row is read off
+    # the state's cell: every delta is exactly 0
     code, out, err = run(capsys, ["degeneracy", "--v0", "0.2", "--s0", s0, "--a", "0.05",
                                   "--format", "json"])
     assert code == 0
@@ -365,9 +373,11 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
 @pytest.mark.parametrize("argv, code, check", [
     (["oracle", *BASE, "--points", "2000", "--format", "json"], 2,
      lambda out, err: [list(row) for row in json.loads(out)] == [ORACLE_HEADER]),
+    # the threshold that every delta of 0 met, and that only a negative
+    # value failed, is gone
     (["degeneracy", *BASE, "--n-range", "1", "--l-range", "0", "--dim-range", "3:4",
-      "--max-delta", "-1"], 2,
-     lambda out, err: "degeneracy violated" in err),
+      "--max-delta", "-1"], 1,
+     lambda out, err: out == "" and err == "error: unrecognized arguments: --max-delta -1\n"),
     (["limits", "--v0", "0.1", "--s0", "0.1", "--a", "0.002", "--a-sequence", "0.1,x"], 1,
      lambda out, err: out == "" and "cannot parse --a-sequence" in err),
     (["table", *BASE, "--n-range", "0:1", "--l-range", "0", "--dim-range", "3"], 0,
@@ -402,16 +412,12 @@ ORACLE_HEADER = ["mode", "e_solver", "status", "eigen_index", "e_oracle", "richa
     (["potential", "--v0", "1e12", "--a", "1e300", "--points", "3"], 0,
      lambda out, err: err == "" and [row[1:4] for row in csv.reader(io.StringIO(out))][1:]
      == [["-0", "-0", "0"]] * 3),
-    # a NaN threshold switched the check off, exit 0
-    (["degeneracy", *BASE, "--n-range", "1", "--l-range", "0", "--dim-range", "3:4",
-      "--max-delta", "nan"], 1,
-     lambda out, err: out == "" and "invalid input: --max-delta must be finite, got nan" in err),
 ], ids=["oracle-json", "degeneracy-violated", "limits-bad-sequence", "table-error-row",
         "solve-tiny-a", "solve-a-overflows", "limits-a-overflows", "solve-huge-equal-couplings",
         "solve-huge-scalar-coupling", "wavefunction-0-points",
         "wavefunction-negative-points", "wavefunction-1-point", "potential-zero-a",
         "potential-negative-a", "potential-nan-v0", "potential-infinite-r-max",
-        "potential-approximant-overflows-to-zero", "degeneracy-nan-max-delta"])
+        "potential-approximant-overflows-to-zero"])
 def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code
@@ -495,7 +501,7 @@ GRID_DEFAULTS = {"--n-range": "1:3", "--l-range": "0:2", "--dim-range": "3:10"}
 HELP_DEFAULTS = {
     "solve": STATE_DEFAULTS,
     "table": GRID_DEFAULTS,
-    "degeneracy": {**GRID_DEFAULTS, "--max-delta": "1e-10"},
+    "degeneracy": GRID_DEFAULTS,
     "wavefunction": {**STATE_DEFAULTS, "--points": "4096"},
     "potential": {"--r-min": "0.1", "--r-max": "20.0", "--points": "400"},
     "oracle": {**STATE_DEFAULTS, "--mode": "approximated", "--points": "16000"},

@@ -30,7 +30,7 @@ VALUES = {
     "--a": ("0.05", "0.04"), "--mass": ("1", "2"), "--format": ("csv", "json"),
     "--n": ("1", "2"), "--l": ("0", "1"), "--dim": ("3", "4"),
     "--n-range": ("1", "2"), "--l-range": ("0", "1"), "--dim-range": ("3", "4"),
-    "--max-delta": ("1e-10", "-1"), "--mode": ("approximated", "exact"),
+    "--mode": ("approximated", "exact"),
     "--points": ("200", "2000"), "--r-min": ("0.1", "0.2"), "--r-max": ("20", "10"),
     "--a-sequence": ("0.002", "0.001"),
 }

@@ -44,6 +44,8 @@ PER_COMMAND = {
 }
 LIMITS = ["limits", "--v0", "0.02", "--s0", "0.02", "--a", "0.002"]
 ERROR_PATHS = {
+    # degeneracy takes no --max-delta: every delta is 0, so no valid
+    # threshold changed the output
     "degeneracy-violated": ["degeneracy", *BASE, "--n-range", "1", "--l-range", "0",
                             "--dim-range", "3:4", "--max-delta", "-1"],
     "degeneracy-n-zero": ["degeneracy", *BASE, "--n-range", "0:1"],

@@ -61,15 +61,18 @@ def test_approx_ratio_improves_as_screening_shrinks():
 
 def test_approximants_at_tiny_screening():
     # 1 - exp(-2ar) cancels to exactly 0 once 2ar < 1.1e-16; the
-    # approximants must still reach their a -> 0 limits, without a warning
-    a = 1e-20
+    # approximants must still reach their a -> 0 limits, without a warning.
+    # Below a = 1e-152 the centrifugal approximant's 4a^2 or squared
+    # denominator leaves the normal floats: it lost digits, then gave inf
+    # and NaN; within a few ulps, where a = 1e-152 was off by 3e-13
     r = np.geomspace(1e-4, 1e4, 50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        approx = approx_yukawa(r, 1.0, a)
-        centrifugal = centrifugal_approx(r, a)
-    assert np.max(np.abs(approx / yukawa(r, 1.0, a) - 1.0)) < 1e-12
-    assert np.max(np.abs(centrifugal * r * r - 1.0)) < 1e-12
+    for a in (1e-20, 1e-152, 1e-160, 1e-300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            approx = approx_yukawa(r, 1.0, a)
+            centrifugal = centrifugal_approx(r, a)
+        assert np.max(np.abs(approx / yukawa(r, 1.0, a) - 1.0)) < 1e-15, a
+        assert np.max(np.abs(centrifugal * r * r - 1.0)) < 1e-15, a
 
 
 def test_centrifugal_plugin_value():
