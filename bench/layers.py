@@ -19,6 +19,13 @@ reaps it, and that reports its wall time, spawn to reap, and its peak;
 forked from this script, with numpy loaded and the layers run, it would
 report this script's peak.
 
+After the timed rounds, one more call of some layers, untimed, counts
+their work under "counts": the residual values of each energy solve (a
+float energy is one, an array of energies its size) and the Sturm counts
+of ``oracle_energy``, from wrappers around
+``kgyukawa.solver.energy_equation_residual`` and
+``kgyukawa.oracle._sturm_count``.
+
 With --parent FILE, a file this script wrote for the parent tree on the
 same host, the output also holds that file's layers under "parent" and
 each layer's median ratio, this tree over the parent.
@@ -32,6 +39,7 @@ whose decaying branch has no state.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import hashlib
@@ -45,10 +53,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import kgyukawa
+import kgyukawa.oracle
+import kgyukawa.solver
 from kgyukawa import (
     NoRootInBracket,
     ParticleParams,
@@ -80,6 +91,11 @@ ORACLE_GRID = RadialGrid(r_min=1e-4, r_max=400.0, points=16000)
 ORACLE_INDEX = 1
 ORACLE_HALF_WIDTH = 5e-3
 ORACLE_SCAN_POINTS = 11
+# the layers whose work count_work counts, each with what it counts
+COUNTED = {"solver.solve_energy.published": "residual_values",
+           "solver.solve_energy.decaying": "residual_values",
+           "solver.solve_energy.decaying_no_state": "residual_values",
+           "oracle.oracle_energy.16000": "sturm_counts"}
 # whole commands, each with the exit code it must give: one solve, the
 # 72-cell default grid and the oracle at 2000 points, whose published
 # energy has no closure root next to it
@@ -195,6 +211,31 @@ def measure(repeats: int) -> dict:
     return out
 
 
+def count_work() -> dict:
+    """One call of each COUNTED layer, with the residual and the Sturm
+    count wrapped to count their values: layer name -> {what: count}."""
+    calls = layers()
+    tally = collections.Counter()
+    residual, sturm_count = kgyukawa.solver.energy_equation_residual, kgyukawa.oracle._sturm_count
+
+    def counted_residual(E, *args, **kwargs):
+        tally["residual_values"] += 1 if type(E) is float else int(np.size(E))
+        return residual(E, *args, **kwargs)
+
+    def counted_sturm_count(*args):
+        tally["sturm_counts"] += 1
+        return sturm_count(*args)
+
+    counts = {}
+    with mock.patch.object(kgyukawa.solver, "energy_equation_residual", counted_residual), \
+            mock.patch.object(kgyukawa.oracle, "_sturm_count", counted_sturm_count):
+        for name, what in COUNTED.items():
+            tally.clear()
+            calls[name]()
+            counts[name] = {what: tally[what]}
+    return counts
+
+
 def environment() -> dict:
     """Python and numpy versions, numba presence, cores, and the measured
     tree: its git commit (None outside a checkout) and a digest of its
@@ -230,7 +271,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     result = {"environment": environment(), "repeats": args.repeats,
-              "layers": measure(args.repeats)}
+              "layers": measure(args.repeats), "counts": count_work()}
     if args.parent:
         parent = json.loads(args.parent.read_text())
         result["parent"] = {"environment": parent["environment"], "repeats": parent["repeats"],

@@ -45,18 +45,13 @@ EXIT_NO_SOLUTION = 2
 EXIT_NUMERIC_FAILURE = 3
 
 
-def fmt_energy(x: Optional[float]) -> str:
-    """Energies print with 8 decimal places (table convention); a missing
-    one prints empty."""
-    if x is None:
-        return ""
+def fmt_energy(x: float) -> str:
+    """Energies print with 8 decimal places (table convention)."""
     return f"{x:.8f}"
 
 
-def fmt_num(x: Optional[float]) -> str:
+def fmt_num(x: float) -> str:
     """Locale-independent 9-significant-digit formatting for other columns."""
-    if x is None:
-        return ""
     return f"{x:.9g}"
 
 
@@ -87,8 +82,9 @@ def _record(obj, fields) -> dict:
 
 
 def _formatted(columns: dict, records) -> list[dict]:
-    """Each record as printed: every value through its column's formatter."""
-    return [{name: fmt(rec[name]) for name, fmt in columns.items()} for rec in records]
+    """Each record as printed: every value through its column's formatter, None as empty."""
+    return [{name: "" if rec[name] is None else fmt(rec[name]) for name, fmt in columns.items()}
+            for rec in records]
 
 
 def _inputs(params: dict) -> tuple[PotentialParams, ParticleParams, Optional[QuantumNumbers]]:

@@ -219,12 +219,15 @@ def _tridiag(pp, mp, qn, grid: RadialGrid, mode):
     """The finite-difference matrix: shifted(E, x), its diagonal at the
     frozen energy E minus x, written into one buffer that every call
     overwrites, and the square of the constant off-diagonal -1/h^2.  A
-    spacing whose fourth power overflows is a :class:`NonFinite`."""
+    spacing where 1/h^4 is not a positive finite float is a
+    :class:`NonFinite`."""
     h = grid.spacing
     try:
         e2 = 1.0 / h**4
-    except OverflowError:
-        raise NonFinite(f"grid spacing {h} is too large: h**4 overflows") from None
+    except (OverflowError, ZeroDivisionError):  # h**4 overflows, or underflows to 0
+        e2 = math.inf
+    if not 0.0 < e2 < math.inf:
+        raise NonFinite(f"grid spacing {h} is out of range: 1/h**4 is not a positive finite float")
     w = _potential(grid.nodes()[1:-1], pp, mp, qn, mode)
     out = np.empty(grid.points - 2)
 
@@ -355,7 +358,7 @@ def oracle_energy(
 @dataclass(frozen=True)
 class OracleComparison:
     """Outcome of cross-checking one quantization-equation energy against
-    the eigensolver.
+    the eigensolver, every energy in the units of the mass M.
 
     status "validated" means a closure root exists in the +-5e-3 M
     bracket around the solver energy, on the grid and next to it on the
@@ -386,34 +389,41 @@ def cross_validate(
 ) -> OracleComparison:
     """Compare the quantization-equation energy with the eigensolver.
 
+    E/M depends on a/M alone, so the eigensolver solves (v0, s0, a/M) at
+    M = 1 around E_solver/M, and each energy it finds is multiplied by M
+    (both steps exact at M = 1); an a/M of 0 or inf is a :class:`NonFinite`.
+
     Tries the bracket [E_solver - 5e-3 M, E_solver + 5e-3 M] at eigen_index
     n, where the decaying state with the same label lies, first, with
     :func:`oracle_energy`; on failure reports the mismatch explicitly,
     with the lowest closure root at the same eigen_index on the grid
     alone: the one in the first sign change of a 101-point scan up from
-    -M(1 - SCAN_EDGE), bisected to 1e-12 and not checked against the doubled
-    grid.
+    -M(1 - SCAN_EDGE), bisected to 1e-12 M and not checked against the
+    doubled grid.
     """
     k = qn.n
     e_solver = solve_energy(pp, mp, qn).energy
-    eps_est = math.sqrt(mp.mass**2 - e_solver**2)
-    grid = default_oracle_grid(eps_est, points=points)
+    m, a = mp.mass, pp.a / mp.mass
+    if not 0.0 < a < math.inf:
+        raise NonFinite(f"screening a/M = {pp.a}/{m} is past float range")
+    unit_pp, unit_mp, center = PotentialParams(pp.v0, pp.s0, a), ParticleParams(1.0), e_solver / m
+    grid = default_oracle_grid(math.sqrt(1.0 - center**2), points=points)
     shared = dict(mode=mode, e_solver=e_solver, eigen_index=k)
-    half_width = _HALF_WIDTH * mp.mass
     try:
         res = oracle_energy(
-            pp, mp, qn, grid, mode, eigen_index=k,
-            bracket=(e_solver - half_width, e_solver + half_width), scan_points=11,
+            unit_pp, unit_mp, qn, grid, mode, eigen_index=k,
+            bracket=(center - _HALF_WIDTH, center + _HALF_WIDTH), scan_points=11,
         )
+        richardson = res.richardson_estimate * m
         return OracleComparison(
-            **shared, status="validated", e_oracle=res.energy,
-            richardson=res.richardson_estimate, delta=abs(res.richardson_estimate - e_solver),
+            **shared, status="validated", e_oracle=res.energy * m,
+            richardson=richardson, delta=abs(richardson - e_solver),
         )
     except NoRootInBracket:
         pass
     lowest = {}
     try:
-        root = _closure_root(pp, mp, qn, grid, mode, k, None, _SCAN_POINTS)
+        root = _closure_root(unit_pp, unit_mp, qn, grid, mode, k, None, _SCAN_POINTS) * m
         lowest = dict(nearest_root=root, nearest_delta=abs(root - e_solver))
     except NoRootInBracket:
         pass

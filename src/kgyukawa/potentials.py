@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,22 +41,13 @@ def approx_yukawa(r, strength: float, a: float):
 
 
 def centrifugal_approx(r, a: float):
-    """Approximant for 1/r^2: 4 a^2 exp(-2ar)/(1-exp(-2ar))^2, with the
-    denominator from expm1 as in :func:`approx_yukawa`.  Where 4a^2 or
-    the squared denominator is not a normal float, which loses digits
-    and then gives inf or NaN, the ratio is taken first:
-    exp(-2ar) (2a/expm1(-2ar))^2."""
+    """Approximant for 1/r^2: 4 a^2 exp(-2ar)/(1-exp(-2ar))^2, taken ratio
+    first as exp(-2ar) (2a/expm1(-2ar))^2, with the denominator from expm1
+    as in :func:`approx_yukawa`.  Where 1/r^2 overflows, or 2ar underflows
+    to 0, it is inf, without a warning."""
     rr = _check_positive_r(r)
-    ex = np.exp(-2.0 * a * rr)
-    em = np.expm1(-2.0 * a * rr)
-    scale, square, tiny = 4.0 * a * a, em**2, sys.float_info.min
-    normal_scale = tiny <= scale <= sys.float_info.max
-    if normal_scale and square.min() >= tiny:
-        out = scale * ex / square
-    else:
-        with np.errstate(all="ignore"):  # the quotient's elements that np.where drops
-            out = np.where((square >= tiny) & normal_scale, scale * ex / square,
-                           ex * (2.0 * a / em) ** 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.exp(-2.0 * a * rr) * (2.0 * a / np.expm1(-2.0 * a * rr)) ** 2
     return float(out) if rr.ndim == 0 else out
 
 

@@ -195,6 +195,14 @@ def test_config_invalid_json_is_input_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_config_that_is_not_an_object_is_input_error(capsys, tmp_path):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    code, out, err = run(capsys, ["solve", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == f"invalid input: config {config} must hold a JSON object\n"
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "table.csv"
     code, out, _ = run(capsys, [
@@ -422,6 +430,18 @@ def test_rarely_taken_paths(capsys, argv, code, check):
     got, out, err = run(capsys, argv)
     assert got == code
     assert check(out, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["wavefunction", "--v0", "0.2", "--s0", "0.1", "--a", "1e-20", "--points", "50"],
+     "numeric failure: NormalizationFailure: wavefunction vanished or overflowed on the grid\n"),
+    (["oracle", "--v0", "0.2", "--s0", "0.1", "--a", "1e-300", "--mass", "1e150",
+      "--points", "100"],
+     "numeric failure: NonFinite: screening a/M = 1e-300/1e+150 is past float range\n"),
+], ids=["wavefunction-vanishes", "oracle-screening-ratio-underflows"])
+def test_numeric_failures_print_one_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", message)
 
 
 @pytest.mark.parametrize("argv, code, message", [

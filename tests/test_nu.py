@@ -1,6 +1,7 @@
 """Canonical-form engine: coefficient identities, quantization residual
 and the shortcut's wavefunction exponents against their closed forms."""
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -100,6 +101,14 @@ def test_negative_discriminant_raised():
         derive_coefficients(NuProblem(1, 1, 1, -1.0, 0, 0))  # c8 < 0
     with pytest.raises(NegativeDiscriminant):
         derive_coefficients(NuProblem(1, 1, 1, 0.0, 10.0, 0.0))  # c9 < 0
+
+
+def test_residual_rejects_a_negative_discriminant():
+    # coefficients made by hand, not by derive_coefficients, can carry c8 < 0
+    problem = NuProblem(1, 1, 1, 0.0, 0.0, 0.0)
+    coeffs = replace(derive_coefficients(problem), c8=-1.0)
+    with pytest.raises(NegativeDiscriminant, match="c8 and c9 must be nonnegative"):
+        energy_relation_residual(problem, coeffs, 1)
 
 
 def test_nonfinite_problem_rejected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kgyukawa import (
     DomainError,
     NoRootInBracket,
+    NonFinite,
     ParticleParams,
     PotentialParams,
     QuantumNumbers,
@@ -108,6 +109,19 @@ def test_coefficient_guards(pp_half):
         effective_ode_coefficient(1.0, 1.5, pp_half, MP, qn, "exact")
     with pytest.raises(DomainError):
         effective_ode_coefficient(1.0, -0.9, pp_half, MP, qn, "numerological")
+
+
+@pytest.mark.parametrize("r_min, r_max", [(1e-300, 2e-300), (1e-80, 2e-80), (1e-78, 1e-75),
+                                          (1e-4, 1e100)],
+                         ids=["h4-underflows", "h4-underflows-near-1e-80", "inverse-overflows",
+                              "h4-overflows"])
+def test_extreme_spacing_is_non_finite(r_min, r_max):
+    # h**4 underflowing to 0 raised a bare ZeroDivisionError, and a
+    # subnormal h**4 made 1/h**4 inf and the eigenvalue NaN
+    grid = RadialGrid(r_min, r_max, 1000)
+    with pytest.raises(NonFinite, match=r"1/h\*\*4 is not a positive finite float"):
+        eigenvalue_k(0.9, PotentialParams(0.2, 0.1, 0.05), MP, QuantumNumbers(1, 0, 3), grid,
+                     "approximated", 0)
 
 
 def test_box_eigenvalues():
@@ -677,6 +691,21 @@ def test_cross_validation_surfaces_branch_discrepancy(pp_plus):
     # the nearest genuine root at eigen_index n is the one-node state, the
     # decaying one of the same label (closed form 0.99503719)
     assert cmp_.nearest_root == pytest.approx(0.99504474, abs=1e-8)
+
+
+def test_cross_validation_is_the_same_in_units_of_the_mass():
+    # E/M depends on a/M alone, and the eigensolver runs at M = 1: at
+    # M = 1e14 and 1e150 nearest_root was missing, at 1e-12 it was
+    # 0.98999999901 M, and at 1e-150 the grid's h**4 overflowed
+    def nearest_root(mass):
+        comparison = cross_validate(PotentialParams(0.2, 0.2, 0.05 * mass),
+                                    ParticleParams(mass), QuantumNumbers(1, 0, 3), points=2000)
+        return comparison.nearest_root / mass
+
+    unit = nearest_root(1.0)
+    assert unit == pytest.approx(0.99504474, abs=1e-8)
+    for mass in (1e-150, 1e-12, 1e14, 1e150):
+        assert nearest_root(mass) == pytest.approx(unit, rel=1e-12), mass
 
 
 def test_fallback_builds_no_doubled_grid(monkeypatch, pp_plus):

@@ -1,5 +1,6 @@
 """Yukawa potential, exponential approximants, and their error bounds."""
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -73,6 +74,30 @@ def test_approximants_at_tiny_screening():
             centrifugal = centrifugal_approx(r, a)
         assert np.max(np.abs(approx / yukawa(r, 1.0, a) - 1.0)) < 1e-15, a
         assert np.max(np.abs(centrifugal * r * r - 1.0)) < 1e-15, a
+
+
+def test_centrifugal_approx_matches_a_50_digit_reference():
+    # one expression at every screening: against 50 digits at the same
+    # float argument x = fl(-2ar), exp(x) (2a/expm1(x))^2 is within 1e-15
+    # wherever that value is a normal float
+    mpmath = pytest.importorskip("mpmath")
+    r = np.geomspace(1e-4, 1e4, 300)
+    for a in (1e-300, 1e-160, 1e-152, 1e-20, 1e-8, 0.05, 1.0, 1e3):
+        got = centrifugal_approx(r, a)
+        with mpmath.workdps(50):
+            for r_i, got_i in zip(r.tolist(), got.tolist()):
+                x = mpmath.mpf(-2.0 * a * r_i)
+                want = mpmath.exp(x) * (2 * mpmath.mpf(a) / mpmath.expm1(x)) ** 2
+                if sys.float_info.min <= want <= sys.float_info.max:
+                    assert abs(got_i / want - 1) < 1e-15, (a, r_i)
+
+
+def test_centrifugal_approx_is_inf_where_it_leaves_float_range():
+    # 2ar underflows to 0, or 1/r^2 overflows: inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert centrifugal_approx(5e-324, 1e-4) == math.inf
+        assert centrifugal_approx(1e-200, 0.05) == math.inf
 
 
 def test_centrifugal_plugin_value():

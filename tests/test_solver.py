@@ -17,6 +17,7 @@ from kgyukawa import (
     DomainError,
     KgYukawaError,
     NoRootInBracket,
+    NormalizationFailure,
     ParticleParams,
     PotentialParams,
     QuantumNumbers,
@@ -687,6 +688,20 @@ def test_wavefunction_grid_validation(pp_half):
     for energy in (-1.0, 1.0):
         with pytest.raises(DomainError, match="energy must lie in"):
             radial_wavefunction(replace(sol, energy=energy), pp_half, MP, qn)
+
+
+@pytest.mark.parametrize("a, grid, message", [
+    (1e-20, None, "wavefunction vanished or overflowed on the grid"),
+    (0.05, np.array([1.0, 1e6]), "normalization integral is 0.0"),
+], ids=["vanished", "zero-integral"])
+def test_wavefunction_that_cannot_be_normalized(a, grid, message):
+    # at a = 1e-20 the Jacobi factor overflows or vanishes on the whole
+    # default grid; on [1, 1e6] only the first sample passes the cutoff,
+    # so the trapezoid sees one point
+    pp, qn = PotentialParams(0.2, 0.1, a), QuantumNumbers(1, 0, 3)
+    sol = solve_energy(pp, MP, qn, "decaying")
+    with pytest.raises(NormalizationFailure, match=message):
+        radial_wavefunction(sol, pp, MP, qn, grid)
 
 
 def test_energy_window_is_open_and_rejects_nan(pp_half):
